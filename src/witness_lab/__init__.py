@@ -9,7 +9,7 @@ rescaled statistic w, an elliptic-integral law and the Marcenko-Pastur law
 for spectra).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .qstate import (
     BipartiteDims,
@@ -32,6 +32,7 @@ from .witness import (
     OptimalWitnessResult,
     Witness,
     WitnessSample,
+    WitnessSpectrum,
     expectation,
     optimal_witness,
     rank2_state,
@@ -39,6 +40,7 @@ from .witness import (
     trace_powers,
     witness_from_vector,
     witness_rank_k,
+    witness_spectrum,
 )
 from .analytic import (
     AnalyticDensity,

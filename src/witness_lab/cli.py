@@ -150,8 +150,8 @@ def cmd_wdist(args: argparse.Namespace, out: OutputTracker) -> None:
     config = EnsembleConfig(
         dims=dims, samples=args.samples, m=args.m, witness_spec=spec, seed=args.seed, workers=workers
     )
-    dist = run_w_ensemble(config)
     witness = derive_witness(config)
+    dist = run_w_ensemble(config, witness=witness)
 
     out.csv("wdist_hist.csv", ["bin_left", "bin_right", "density"], _hist_rows(dist))
 

@@ -28,23 +28,28 @@ from .qstate import (
 )
 from .witness import (
     Witness,
-    pt_quadratic_form_batch,
+    WitnessSpectrum,
     predicted_cumulants,
     random_haar_witness,
     random_rank_k_witness,
     rank2_state,
     witness_from_vector,
+    witness_spectrum,
 )
 
 CHUNK_SAMPLES = 4096
-_MAX_COMPONENT_COMPLEX = 1 << 21  # per-batch draw budget, in complex numbers
+_MAX_BATCH_VARIATES = 1 << 16  # per-batch draw budget; keeps a batch in cache
 _JACKKNIFE_BLOCKS = 20
 
-_STREAM_WITNESS = 0
-_STREAM_W = 1
-_STREAM_PT = 2
-_STREAM_LMIN = 3
-_STREAM_DC = 4
+# Stream tags.  numpy zero-pads SeedSequence entropy, so (seed, t, c) and
+# (seed, t, c, 0) give the same stream: every tag is used with entropy tuples
+# of one length only.
+_STREAM_WITNESS = 0  # (seed, tag)
+_STREAM_W = 1  # (seed, tag, chunk)
+_STREAM_PT = 2  # (seed, tag, state)
+_STREAM_LMIN = 3  # (seed, tag, point, rep)
+_STREAM_DC = 4  # (seed, tag, point, rep)
+_STREAM_DECAY = 5  # (seed, tag, m, chunk)
 
 DEFAULT_W_BINS = np.linspace(-4.0, 6.0, 81)
 DEFAULT_Y_BINS = np.linspace(-4.5, 4.5, 91)
@@ -289,31 +294,37 @@ def _draw_raw_components(rng: np.random.Generator, count: int, dim: int):
 
 
 def _w_chunk_task(task) -> np.ndarray:
-    (entropy, chunk_idx, count, m, n_a, n_b, phi_stack, weights, per_state_optimal) = task
+    (entropy, chunk_idx, count, m, n_a, n_b, spectrum) = task
     rng = _rng_for(*entropy, chunk_idx)
     dim = n_a * n_b
     out = np.empty(count)
 
-    if per_state_optimal:
+    if spectrum is None:  # per-state optimal witness: w = dim * lambda_min
         for i in range(count):
             comps, nrm2 = _draw_raw_components(rng, m, dim)
             comps = comps / np.sqrt(nrm2)[:, None]
+            if m == 1:
+                mu = np.linalg.svd(comps.reshape(n_a, n_b), compute_uv=False)
+                out[i] = -dim * mu[0] * mu[1]
+                continue
             rho = (comps.T @ comps.conj()) / m
             rho_tb = partial_transpose_b(rho, BipartiteDims(n_a, n_b))
             out[i] = dim * float(np.linalg.eigvalsh(rho_tb)[0])
         return out
 
-    group = max(1, min(count, _MAX_COMPONENT_COMPLEX // (m * dim)))
+    # Haar invariance: <psi|W|psi> = sum_k lam_k E_k / sum_k E_k exactly, with
+    # E_k i.i.d. Exp(1) over all n_a n_b eigenvalues of W; the zeros of the
+    # spectrum contribute only their sum, one Gamma(zeros) draw
+    lam, zeros = spectrum
+    group = max(1, min(count, _MAX_BATCH_VARIATES // (m * len(lam))))
     done = 0
     while done < count:
         g = min(group, count - done)
-        comps, nrm2 = _draw_raw_components(rng, g * m, dim)
-        q = np.zeros(g * m)
-        mats = comps.reshape(g * m, n_a, n_b)
-        for d, phi in zip(weights, phi_stack):
-            q += d * pt_quadratic_form_batch(phi, mats)
-        # normalization enters as a scalar: the form is quadratic in |psi>
-        out[done : done + g] = dim * (q / nrm2).reshape(g, m).mean(axis=1)
+        e = rng.standard_exponential((g * m, len(lam)))
+        total = e.sum(axis=1)
+        if zeros:
+            total += rng.standard_gamma(zeros, g * m)
+        out[done : done + g] = dim * (e @ lam / total).reshape(g, m).mean(axis=1)
         done += g
     return out
 
@@ -322,38 +333,43 @@ def _w_samples(
     dims: BipartiteDims,
     samples: int,
     m: int,
-    witness: Witness | None,
+    spectrum: WitnessSpectrum | None,
     entropy: tuple[int, ...],
     workers: int,
 ) -> np.ndarray:
-    if witness is None:
-        phi_stack, weights, optimal = None, None, True
-    else:
-        phi_stack = np.stack([phi.matrix for phi in witness.q_vectors])
-        weights = np.asarray(witness.q_weights)
-        optimal = False
+    """w for ``samples`` uniform mixtures of m Haar states, measured against
+    the witness with this spectrum, or against each state's optimal witness
+    when ``spectrum`` is None."""
     tasks = []
     start = 0
     chunk_idx = 0
     while start < samples:
         count = min(CHUNK_SAMPLES, samples - start)
-        tasks.append((entropy, chunk_idx, count, m, dims.n_a, dims.n_b, phi_stack, weights, optimal))
+        tasks.append((entropy, chunk_idx, count, m, dims.n_a, dims.n_b, spectrum))
         start += count
         chunk_idx += 1
     parts = _map_ordered(_w_chunk_task, tasks, workers)
     return np.concatenate(parts)
 
 
-def run_w_ensemble(config: EnsembleConfig, keep_samples: bool = True) -> EmpiricalDistribution:
+def run_w_ensemble(
+    config: EnsembleConfig,
+    keep_samples: bool = True,
+    witness: Witness | None = None,
+) -> EmpiricalDistribution:
     """Distribution of w over ``samples`` states, each a uniform mixture of
     ``m`` fresh Haar states, measured against one witness drawn from the
-    witness spec (or the per-state optimal one)."""
-    witness = derive_witness(config)
+    witness spec (or the per-state optimal one).
+
+    A caller that already holds ``derive_witness(config)`` passes it as
+    ``witness`` so that it is not built again."""
+    if witness is None:
+        witness = derive_witness(config)
     w = _w_samples(
         config.dims,
         config.samples,
         config.m,
-        witness,
+        None if witness is None else witness_spectrum(witness),
         (config.seed, _STREAM_W),
         config.workers,
     )
@@ -429,9 +445,10 @@ def run_mixture_decay(
     if witness is None:
         raise ValueError("mixture decay needs a fixed witness, not optimal_per_state")
 
+    spectrum = witness_spectrum(witness)
     rows = []
     for m, n_samp in zip(range(1, m_max + 1), samples_per_point):
-        w = _w_samples(dims, n_samp, m, witness, (seed, _STREAM_W, m), workers)
+        w = _w_samples(dims, n_samp, m, spectrum, (seed, _STREAM_DECAY, m), workers)
         p = float(np.count_nonzero(w < 0)) / n_samp
         se = math.sqrt(p * (1.0 - p) / n_samp)
         rows.append(ScanRow(n=dims.n_a, m=m, value=p, std_err=se))

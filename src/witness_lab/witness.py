@@ -19,11 +19,14 @@ from .qstate import (
     PureState,
     hermitian_spectrum,
     partial_transpose_b,
+    pure_pt_eigenvalues,
     sample_random_pure_batch,
+    schmidt,
     schmidt_coefficients,
 )
 
 ORTHONORMAL_TOL = 1e-8
+ZERO_EIGENVALUE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,14 @@ class WitnessSample(NamedTuple):
     w: float
     raw: float
     m: int | None
+
+
+class WitnessSpectrum(NamedTuple):
+    """Spectrum of W: the nonzero eigenvalues, ascending, and the number of
+    zero eigenvalues; len(nonzero) + zeros = n_a * n_b."""
+
+    nonzero: np.ndarray
+    zeros: int
 
 
 class OptimalWitnessResult(NamedTuple):
@@ -211,6 +222,23 @@ def expectation(witness: Witness, state: "PureState | MixedState") -> WitnessSam
     return WitnessSample(w=witness.dims.total * raw, raw=raw, m=m)
 
 
+def witness_spectrum(witness: Witness) -> WitnessSpectrum:
+    """Eigenvalues of W.
+
+    A rank-one witness without P block has the closed-form spectrum of a
+    partially transposed pure state, {mu_i^2} and {+-mu_i mu_j} from the
+    Schmidt coefficients of its vector; anything else takes one dense
+    eigensolve of the (n_a n_b)^2 matrix.  Eigenvalues within
+    ``ZERO_EIGENVALUE_RTOL`` of zero, relative to the largest, count as zeros.
+    """
+    if witness.rank == 1 and witness.p_part is None:
+        eig = pure_pt_eigenvalues(witness.q_vectors[0])
+    else:
+        eig = np.linalg.eigvalsh(witness.to_matrix())
+    nonzero = eig[np.abs(eig) > ZERO_EIGENVALUE_RTOL * np.abs(eig).max()]
+    return WitnessSpectrum(nonzero=nonzero, zeros=witness.dims.total - len(nonzero))
+
+
 def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
     """Best decomposable witness for a known state: the projector onto the
     eigenvector of rho^T_B with minimal eigenvalue, partially transposed.
@@ -218,19 +246,28 @@ def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
     Guarantees tr(W_opt rho) = lambda_min.  A nonnegative lambda_min means
     the state is PPT and undetectable this way; the ``ppt`` flag is set and
     the witness is still returned.
+
+    For a pure state sum_i mu_i |a_i b_i> the answer is closed form:
+    lambda_min = -mu_1 mu_2 with eigenvector (|a_1 b_2*> - |a_2 b_1*>)/sqrt(2),
+    where b* is the complex conjugate of b.  Mixed states take a dense
+    eigensolve.
     """
     if isinstance(state, PureState):
-        state = MixedState.from_components([state])
-    rho_tb = partial_transpose_b(state.to_matrix(), state.dims)
-    spec = hermitian_spectrum(rho_tb, want_vectors=True)
-    phi_min = PureState(state.dims, spec.min_eigenvector)
+        sd = schmidt(state)
+        a, b = sd.basis_a, sd.basis_b.conj()
+        vec = (np.kron(a[0], b[1]) - np.kron(a[1], b[0])) / np.sqrt(2.0)
+        lam_min = -float(sd.coefficients[0] * sd.coefficients[1])
+    else:
+        rho_tb = partial_transpose_b(state.to_matrix(), state.dims)
+        spec = hermitian_spectrum(rho_tb, want_vectors=True)
+        vec, lam_min = spec.min_eigenvector, spec.min_eigenvalue
     w = Witness(
         dims=state.dims,
         q_weights=np.array([1.0]),
-        q_vectors=(phi_min,),
+        q_vectors=(PureState(state.dims, vec),),
         kind="optimal_for_state",
     )
-    return OptimalWitnessResult(witness=w, lambda_min=spec.min_eigenvalue, ppt=spec.min_eigenvalue >= 0)
+    return OptimalWitnessResult(witness=w, lambda_min=lam_min, ppt=lam_min >= 0)
 
 
 def sample_w_overlap_model(

@@ -22,7 +22,8 @@ from witness_lab.ensemble import (
     run_pt_spectrum,
     run_w_ensemble,
 )
-from witness_lab.qstate import BipartiteDims, MixedState, mix_random_states
+from witness_lab.qstate import BipartiteDims, MixedState, mix_random_states, sample_random_pure_batch
+from witness_lab.witness import pt_quadratic_form_batch, witness_spectrum
 
 from conftest import rng
 
@@ -116,6 +117,23 @@ class TestDeterminism:
         b = run_w_ensemble(EnsembleConfig(dims=dims, samples=1000, seed=2))
         assert not np.array_equal(a.samples, b.samples)
 
+    def test_rank_k_mixture_worker_count_invariance(self):
+        base = dict(dims=BipartiteDims(4, 4), samples=9000, m=2, witness_spec=WitnessSpec("rank_k", k=3), seed=17)
+        d1 = run_w_ensemble(EnsembleConfig(workers=1, **base))
+        d2 = run_w_ensemble(EnsembleConfig(workers=2, **base))
+        assert _equal_dists(d1, d2)
+
+    def test_decay_and_wdist_streams_differ(self):
+        from witness_lab.ensemble import _STREAM_DECAY, _STREAM_W, _rng_for
+
+        # SeedSequence zero-pads its entropy, which is why a decay point
+        # (seed, tag, m, chunk) must not share the wdist tag (seed, tag, chunk)
+        assert np.array_equal(_rng_for(7, 1, 2).random(4), _rng_for(7, 1, 2, 0).random(4))
+        for c in range(4):
+            wdist_chunk = _rng_for(7, _STREAM_W, c).random(4)
+            decay_point = _rng_for(7, _STREAM_DECAY, c, 0).random(4)
+            assert not np.array_equal(wdist_chunk, decay_point)
+
     def test_pt_spectrum_worker_invariance(self):
         dims = BipartiteDims(8, 8)
         a = run_pt_spectrum(dims, m=2, states=6, seed=5, workers=1)
@@ -166,6 +184,38 @@ class TestWEnsemble:
         quantum = run_w_ensemble(cfg)
         model = rank2_density_convolution_oracle(0.25, 100_000, rng(12))
         assert ks_statistic_two_sample(quantum.samples, model.samples) < 0.02
+
+
+class TestSpectralSampler:
+    """The fixed-witness sampler against direct contractions of Haar states
+    with the witness vectors, and against the exact finite-N moments."""
+
+    SAMPLES = 20_000
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("spec", ["random", "rank2:0.3", "rankk:3"])
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5)])
+    def test_matches_contraction_oracle_and_moments(self, shape, spec, m):
+        from witness_lab.ensemble import _w_samples
+
+        dims = BipartiteDims(*shape)
+        n = self.SAMPLES
+        witness = derive_witness(EnsembleConfig(dims=dims, samples=1, witness_spec=WitnessSpec.parse(spec), seed=41))
+        spectrum = witness_spectrum(witness)
+        w = _w_samples(dims, n, m, spectrum, (42, 1), workers=1)
+
+        psi = sample_random_pure_batch(dims, n * m, rng(43)).reshape(n * m, dims.n_a, dims.n_b)
+        q = sum(d * pt_quadratic_form_batch(phi.matrix, psi) for d, phi in zip(witness.q_weights, witness.q_vectors))
+        oracle = dims.total * q.reshape(n, m).mean(axis=1)
+        # DKW bound on each empirical CDF, false-alarm probability 1e-6 in all
+        eps = 2 * math.sqrt(math.log(2 / 0.5e-6) / (2 * n))
+        assert ks_statistic_two_sample(w, oracle) < eps
+
+        dist = empirical_from_samples(w)
+        tr_w2 = float(np.sum(spectrum.nonzero**2))
+        var = (dims.total * tr_w2 - 1) / (dims.total + 1) / m
+        assert abs(dist.mean - 1.0) < 5 * dist.mean_std_err
+        assert abs(dist.variance - var) < 5 * dist.k2_std_err
 
 
 class TestRankKGaussianity:
@@ -354,14 +404,14 @@ class TestCumulantReport:
     def test_product_vector_gives_exponential_cumulants(self):
         # w for a product witness vector is Exp(1): kappa_n = (n-1)!
         from witness_lab.qstate import PureState
-        from witness_lab.witness import witness_from_vector
+        from witness_lab.witness import witness_from_vector, witness_spectrum
         from witness_lab.ensemble import _w_samples
 
         dims = BipartiteDims(16, 16)
         amp = np.zeros(dims.total, complex)
         amp[0] = 1.0
         witness = witness_from_vector(PureState(dims, amp))
-        w = _w_samples(dims, 50_000, 1, witness, (25, 1), workers=2)
+        w = _w_samples(dims, 50_000, 1, witness_spectrum(witness), (25, 1), workers=2)
         dist = empirical_from_samples(w)
         rows = cumulant_report(dist, witness)
         assert [r.predicted for r in rows] == [1.0, 2.0, 6.0]

@@ -7,6 +7,7 @@ from witness_lab.qstate import (
     MixedState,
     PureState,
     ghz_state,
+    hermitian_spectrum,
     mix_random_states,
     partial_transpose_b,
     sample_product_density,
@@ -26,6 +27,7 @@ from witness_lab.witness import (
     trace_powers,
     witness_from_vector,
     witness_rank_k,
+    witness_spectrum,
 )
 
 from conftest import rng
@@ -183,6 +185,22 @@ class TestOptimalWitness:
             means[n] = n * float(np.mean(vals))
         assert -4.0 < means[32] < means[16] < -2.5
 
+    def test_pure_state_closed_form_matches_dense_spectrum(self):
+        # lambda_min = -mu_1 mu_2, including the degenerate GHZ Schmidt spectrum
+        states = [
+            sample_random_pure(BipartiteDims(3, 3), rng(30)),
+            sample_random_pure(BipartiteDims(3, 5), rng(31)),
+            ghz_state(4),
+        ]
+        for st in states:
+            res = optimal_witness(st)
+            rho_tb = partial_transpose_b(st.density_matrix(), st.dims)
+            dense = hermitian_spectrum(rho_tb, want_vectors=False)
+            assert res.lambda_min == pytest.approx(dense.min_eigenvalue, abs=1e-12)
+            vec = res.witness.q_vectors[0].amplitudes
+            assert np.abs(rho_tb @ vec - res.lambda_min * vec).max() < 1e-12
+            assert expectation(res.witness, st).raw == pytest.approx(res.lambda_min, abs=1e-12)
+
     def test_no_random_vector_beats_lambda_min(self):
         dims = BipartiteDims(4, 4)
         r = rng(14)
@@ -193,6 +211,40 @@ class TestOptimalWitness:
             phis = sample_random_pure_batch(dims, 1000, r)
             vals = np.einsum("ki,ij,kj->k", phis.conj(), rho_tb, phis).real
             assert vals.min() >= res.lambda_min - 1e-9
+
+
+class TestWitnessSpectrum:
+    @staticmethod
+    def _check_against_dense(witness):
+        spec = witness_spectrum(witness)
+        full = np.sort(np.concatenate([spec.nonzero, np.zeros(spec.zeros)]))
+        dense = np.linalg.eigvalsh(witness.to_matrix())
+        assert np.abs(full - dense).max() < 1e-12
+        return spec
+
+    def test_haar_rank_one_square_and_rectangular(self):
+        for dims in (BipartiteDims(4, 4), BipartiteDims(3, 5), BipartiteDims(5, 3)):
+            spec = self._check_against_dense(random_haar_witness(dims, rng(32)))
+            r = dims.schmidt_len
+            assert spec.zeros == dims.total - r * r
+
+    def test_product_vector(self):
+        dims = BipartiteDims(4, 4)
+        spec = self._check_against_dense(witness_from_vector(product_state(dims)))
+        assert spec.nonzero.tolist() == [1.0]
+        assert spec.zeros == dims.total - 1
+
+    def test_rank2_zero_count(self):
+        dims = BipartiteDims(4, 5)
+        spec = self._check_against_dense(witness_from_vector(rank2_state(dims, 0.3)))
+        assert spec.zeros == dims.total - 4
+        expected = np.sort([0.3, 0.7, np.sqrt(0.21), -np.sqrt(0.21)])
+        assert np.abs(spec.nonzero - expected).max() < 1e-12
+
+    def test_rank_k_dense_path(self):
+        dims = BipartiteDims(3, 4)
+        spec = self._check_against_dense(random_rank_k_witness(dims, 3, rng(33)))
+        assert spec.nonzero.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOverlapModel:
