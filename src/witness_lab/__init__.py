@@ -9,7 +9,7 @@ rescaled statistic w, an elliptic-integral law and the Marcenko-Pastur law
 for spectra).
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .qstate import (
     BipartiteDims,

@@ -156,10 +156,6 @@ def density_eval(d: AnalyticDensity, x: float) -> float:
     return _marcenko_pastur_pdf(x)
 
 
-def density_on_grid(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
-    return np.array([density_eval(d, float(x)) for x in np.asarray(xs, float)])
-
-
 def _rank2_cdf(lam: float, w: float) -> float:
     if abs(1.0 - 2.0 * lam) < _RANK2_HALF_EPS:
         if w < 0.0:

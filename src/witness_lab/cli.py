@@ -270,24 +270,17 @@ def cmd_densecoding(args: argparse.Namespace, out: OutputTracker) -> None:
     t0 = time.time()
     dims = BipartiteDims(*args.dims)
     m_list = _int_list(args.m_list)
-    scan = dense_coding_scan(dims, m_list, repetitions=args.reps, seed=args.seed)
+    workers = _resolve_workers(args.workers)
+    scan = dense_coding_scan(dims, m_list, repetitions=args.reps, seed=args.seed, workers=workers)
     out.csv(
         "densecoding_scan.csv",
         ["N", "m", "margin_bits", "std_err"],
         [(r.n, r.m, r.value, r.std_err) for r in scan.rows],
     )
-    ms = [r.m for r in scan.rows]
-    margins = [r.value for r in scan.rows]
-    crossing = None
-    for i in range(len(ms) - 1):
-        if margins[i] > 0 >= margins[i + 1]:
-            frac = margins[i] / (margins[i] - margins[i + 1])
-            crossing = ms[i] + frac * (ms[i + 1] - ms[i])
-            break
     out.json(
         "densecoding_summary.json",
         {
-            "margin_sign_change_m": crossing,
+            "margin_sign_change_m": scan.metadata["margin_sign_change_m"],
             "usable": {str(r.m): r.value > 0 for r in scan.rows},
             "repetitions": args.reps,
         },

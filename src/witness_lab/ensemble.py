@@ -13,7 +13,6 @@ batch sizes depend only on the configuration, never on the machine.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,8 +21,9 @@ import numpy as np
 from .qstate import (
     BipartiteDims,
     MixedState,
+    mixture_pt_eigenvalues,
     partial_trace_b,
-    partial_transpose_b,
+    sample_random_pure_batch,
     von_neumann_entropy,
 )
 from .witness import (
@@ -285,12 +285,10 @@ def _map_ordered(fn, tasks, workers: int):
         return list(pool.map(fn, tasks))
 
 
-def _draw_raw_components(rng: np.random.Generator, count: int, dim: int):
-    """``count`` unnormalized Gaussian vectors plus their squared norms."""
-    x = rng.standard_normal(2 * count * dim)
-    flat = x.reshape(count, 2 * dim)
-    nrm2 = np.einsum("ki,ki->k", flat, flat)
-    return x.view(np.complex128).reshape(count, dim), nrm2
+def _mean_and_std_err(vals: np.ndarray) -> tuple[float, float]:
+    n = len(vals)
+    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(vals.mean()), se
 
 
 def _w_chunk_task(task) -> np.ndarray:
@@ -300,16 +298,10 @@ def _w_chunk_task(task) -> np.ndarray:
     out = np.empty(count)
 
     if spectrum is None:  # per-state optimal witness: w = dim * lambda_min
+        dims = BipartiteDims(n_a, n_b)
         for i in range(count):
-            comps, nrm2 = _draw_raw_components(rng, m, dim)
-            comps = comps / np.sqrt(nrm2)[:, None]
-            if m == 1:
-                mu = np.linalg.svd(comps.reshape(n_a, n_b), compute_uv=False)
-                out[i] = -dim * mu[0] * mu[1]
-                continue
-            rho = (comps.T @ comps.conj()) / m
-            rho_tb = partial_transpose_b(rho, BipartiteDims(n_a, n_b))
-            out[i] = dim * float(np.linalg.eigvalsh(rho_tb)[0])
+            comps = sample_random_pure_batch(dims, m, rng)
+            out[i] = dim * float(mixture_pt_eigenvalues(comps, dims).min())
         return out
 
     # Haar invariance: <psi|W|psi> = sum_k lam_k E_k / sum_k E_k exactly, with
@@ -470,20 +462,8 @@ def _pt_state_task(task) -> np.ndarray:
     (seed, index, m, n_a, n_b, include_diagonal) = task
     rng = _rng_for(seed, _STREAM_PT, index)
     dims = BipartiteDims(n_a, n_b)
-    dim = dims.total
-    comps, nrm2 = _draw_raw_components(rng, m, dim)
-    comps = comps / np.sqrt(nrm2)[:, None]
-    if m == 1:
-        mu = np.linalg.svd(comps.reshape(n_a, n_b), compute_uv=False)
-        prods = np.outer(mu, mu)
-        iu = np.triu_indices(len(mu), k=1)
-        off = prods[iu]
-        parts = [off, -off]
-        if include_diagonal:
-            parts.append(mu**2)
-        return np.concatenate(parts)
-    rho = (comps.T @ comps.conj()) / m
-    return np.linalg.eigvalsh(partial_transpose_b(rho, dims))
+    comps = sample_random_pure_batch(dims, m, rng)
+    return mixture_pt_eigenvalues(comps, dims, include_diagonal)
 
 
 def run_pt_spectrum(
@@ -517,21 +497,11 @@ def run_pt_spectrum(
 def _lmin_point_task(task) -> tuple[float, float]:
     (seed, point_idx, n, m, reps) = task
     dims = BipartiteDims(n, n)
-    dim = dims.total
     vals = np.empty(reps)
     for rep in range(reps):
-        rng = _rng_for(seed, _STREAM_LMIN, point_idx, rep)
-        comps, nrm2 = _draw_raw_components(rng, m, dim)
-        comps = comps / np.sqrt(nrm2)[:, None]
-        if m == 1:
-            mu = np.linalg.svd(comps.reshape(n, n), compute_uv=False)
-            vals[rep] = -mu[0] * mu[1]
-        else:
-            rho = (comps.T @ comps.conj()) / m
-            vals[rep] = np.linalg.eigvalsh(partial_transpose_b(rho, dims))[0]
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return mean, se
+        comps = sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_LMIN, point_idx, rep))
+        vals[rep] = mixture_pt_eigenvalues(comps, dims).min()
+    return _mean_and_std_err(vals)
 
 
 def run_lambda_min_scan(
@@ -613,8 +583,6 @@ class DenseCodingResult:
 def dense_coding_usable(state: MixedState) -> DenseCodingResult:
     """Dense-coding criterion S(rho_A) - S(rho) > 0, with the margin in
     bits."""
-    from .qstate import partial_trace_b
-
     s_a = von_neumann_entropy(partial_trace_b(state), state.dims)
     s_full = von_neumann_entropy(state.to_matrix())
     margin = s_a - s_full
@@ -659,30 +627,36 @@ def cumulant_report(
     return tuple(rows)
 
 
+def _dc_point_task(task) -> tuple[float, float]:
+    (seed, point_idx, n_a, n_b, m, reps) = task
+    dims = BipartiteDims(n_a, n_b)
+    vals = np.empty(reps)
+    for rep in range(reps):
+        comps = sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_DC, point_idx, rep))
+        rho = (comps.T @ comps.conj()) / m
+        mats = comps.reshape(m, n_a, n_b)
+        rho_a = np.einsum("kab,kcb->ac", mats, mats.conj()) / m
+        vals[rep] = von_neumann_entropy(rho_a) - von_neumann_entropy(rho)
+    return _mean_and_std_err(vals)
+
+
 def dense_coding_scan(
     dims: BipartiteDims,
     m_list,
     repetitions: int = 4,
     seed: int = 0,
+    workers: int = 1,
 ) -> ScanResult:
     """Mean dense-coding margin S(rho_A) - S(rho) in bits versus mixture
-    size."""
+    size, plus the first m where the margin turns nonpositive (linearly
+    interpolated, None if it never does) as ``margin_sign_change_m``."""
     if repetitions < 1:
         raise ValueError("need at least one repetition")
-    rows = []
-    for idx, m in enumerate(int(m) for m in m_list):
-        vals = np.empty(repetitions)
-        for rep in range(repetitions):
-            rng = _rng_for(seed, _STREAM_DC, idx, rep)
-            dim = dims.total
-            comps, nrm2 = _draw_raw_components(rng, m, dim)
-            comps = comps / np.sqrt(nrm2)[:, None]
-            rho = (comps.T @ comps.conj()) / m
-            mats = comps.reshape(m, dims.n_a, dims.n_b)
-            rho_a = np.einsum("kab,kcb->ac", mats, mats.conj()) / m
-            s_a = von_neumann_entropy(rho_a)
-            s_full = von_neumann_entropy(rho)
-            vals[rep] = s_a - s_full
-        se = float(vals.std(ddof=1) / math.sqrt(repetitions)) if repetitions > 1 else 0.0
-        rows.append(ScanRow(n=dims.n_a, m=m, value=float(vals.mean()), std_err=se))
-    return ScanResult(kind="dense_coding_margin", rows=tuple(rows), metadata={"repetitions": repetitions})
+    m_list = [int(m) for m in m_list]
+    tasks = [(seed, idx, dims.n_a, dims.n_b, m, repetitions) for idx, m in enumerate(m_list)]
+    results = _map_ordered(_dc_point_task, tasks, workers)
+    rows = tuple(ScanRow(n=dims.n_a, m=m, value=mean, std_err=se) for m, (mean, se) in zip(m_list, results))
+    margins = np.array([r.value for r in rows])
+    crossing = _interp_crossing(np.array(m_list), -margins, 0.0)
+    meta = {"repetitions": repetitions, "margin_sign_change_m": crossing}
+    return ScanResult(kind="dense_coding_margin", rows=rows, metadata=meta)

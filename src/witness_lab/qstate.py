@@ -317,22 +317,34 @@ def hermitian_spectrum(matrix: np.ndarray, want_vectors: bool = True) -> Spectru
     )
 
 
+def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims, include_diagonal: bool = True) -> np.ndarray:
+    """Eigenvalues of the partial transpose of the uniform mixture of the
+    normalized rows of ``amps`` (an (m, n_a n_b) array).
+
+    A single row is a pure state, whose spectrum follows from its Schmidt
+    coefficients alone: +-mu_i mu_j for i < j, then the n "diagonal" values
+    mu_i^2 unless excluded, in that (unsorted) order.  More rows take one
+    dense eigensolve of rho^T_B and come back ascending.
+    """
+    m = len(amps)
+    if m == 1:
+        mu = schmidt_coefficients(amps[0].reshape(dims.n_a, dims.n_b))
+        off = np.outer(mu, mu)[np.triu_indices(len(mu), k=1)]
+        parts = [off, -off, mu**2] if include_diagonal else [off, -off]
+        return np.concatenate(parts)
+    rho = (amps.T @ amps.conj()) / m
+    return np.linalg.eigvalsh(partial_transpose_b(rho, dims))
+
+
 def pure_pt_eigenvalues(state: PureState, include_diagonal: bool = True) -> np.ndarray:
-    """Eigenvalues of the partial transpose of a pure-state projector, from
-    the Schmidt coefficients alone: +-mu_i mu_j for i < j, plus the n
-    "diagonal" values mu_i^2.
+    """Ascending eigenvalues of the partial transpose of a pure-state
+    projector, from the Schmidt coefficients alone (see
+    ``mixture_pt_eigenvalues``).
 
     Much cheaper than an explicit eigensolve and exact; the diagonal block can
     be dropped, which is how spectral histograms isolate the +-mu_i mu_j part.
     """
-    mu = schmidt_coefficients(state.matrix)
-    prods = np.outer(mu, mu)
-    iu = np.triu_indices(len(mu), k=1)
-    off = prods[iu]
-    parts = [off, -off]
-    if include_diagonal:
-        parts.append(mu**2)
-    return np.sort(np.concatenate(parts))
+    return np.sort(mixture_pt_eigenvalues(state.amplitudes[None], state.dims, include_diagonal))
 
 
 def von_neumann_entropy(obj, dims: BipartiteDims | None = None) -> float:

@@ -1,77 +1,18 @@
-"""Self-contained special functions: error function and complete elliptic
-integrals.  Implemented in-repo (power series / continued fraction and AGM)
-so the library's numerical contract does not lean on an external package;
-the test suite cross-checks them against quadrature and scipy.
+"""Special functions: the error function (from the standard library) and
+complete elliptic integrals, implemented in-repo by the AGM so the
+library's numerical contract does not lean on an external package; the test
+suite cross-checks them against quadrature and scipy.
 """
 
 from __future__ import annotations
 
 import math
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+# re-exported so that every caller, and tooling that wraps functions by
+# module and name (bench/spans.py), finds erf/erfc here
+from math import erf, erfc  # noqa: F401
+
 _EPS = 1e-17
-
-
-def erf(x: float) -> float:
-    """Error function, absolute error below 1e-12 on [-6, 6].
-
-    Uses the Maclaurin series for |x| < 2 and the Laplace continued fraction
-    for the complementary function otherwise.  Odd symmetry is exact.
-    """
-    if x == 0.0:
-        return 0.0
-    if x < 0.0:
-        return -erf(-x)
-    if x < 2.0:
-        return _erf_series(x)
-    return 1.0 - _erfc_cf(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x), accurate in the far tail."""
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < 2.0:
-        return 1.0 - _erf_series(x)
-    return _erfc_cf(x)
-
-
-def _erf_series(x: float) -> float:
-    # erf(x) = 2/sqrt(pi) * sum_n (-1)^n x^(2n+1) / (n! (2n+1))
-    term = x
-    total = x
-    for n in range(1, 200):
-        term *= -x * x / n
-        contrib = term / (2 * n + 1)
-        total += contrib
-        if abs(contrib) <= _EPS * abs(total):
-            break
-    return _TWO_OVER_SQRT_PI * total
-
-
-def _erfc_cf(x: float) -> float:
-    # erfc(x) = exp(-x^2) / (sqrt(pi) * F) with the Laplace continued
-    # fraction F = x + 1/(2x + 2/(x + 3/(2x + 4/(x + ...)))), evaluated by
-    # the modified Lentz algorithm: a_j = j, b_j alternating 2x, x.
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for j in range(1, 300):
-        a = float(j)
-        b = 2.0 * x if j % 2 == 1 else x
-        d = b + a * d
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(-x * x) / math.sqrt(math.pi) / f
 
 
 def elliptic_ke(param: float) -> tuple[float, float]:

@@ -103,18 +103,6 @@ class OptimalWitnessResult(NamedTuple):
     ppt: bool
 
 
-@dataclass(frozen=True)
-class Rank2WitnessParams:
-    """Weight lambda of the first Schmidt probability of a rank-2 witness
-    vector (mu_1^2 = lambda, mu_2^2 = 1 - lambda)."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lambda must lie strictly in (0, 1), got {self.lam}")
-
-
 def witness_from_vector(phi: PureState) -> Witness:
     """Rank-one witness (|phi><phi|)^T_B."""
     return Witness(dims=phi.dims, q_weights=np.array([1.0]), q_vectors=(phi,), kind="rank1")
@@ -144,7 +132,8 @@ def rank2_state(dims: BipartiteDims, lam: float) -> PureState:
     """Schmidt-rank-2 vector sqrt(lam)|00> + sqrt(1-lam)|11> in the
     computational basis.  Haar unitary invariance makes the basis choice
     immaterial for ensemble statistics."""
-    Rank2WitnessParams(lam)
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"lambda must lie strictly in (0, 1), got {lam}")
     amp = np.zeros(dims.total, dtype=np.complex128)
     amp[0] = np.sqrt(lam)
     amp[1 * dims.n_b + 1] = np.sqrt(1.0 - lam)
@@ -182,7 +171,7 @@ def pt_quadratic_form_batch(phi_matrix: np.ndarray, psi_matrices: np.ndarray) ->
     """Vectorized ``pt_quadratic_form`` over a (k, n_a, n_b) stack."""
     k, n_a, n_b = psi_matrices.shape
     c = (psi_matrices.reshape(k * n_a, n_b) @ phi_matrix.T).reshape(k, n_a, n_a)
-    return np.einsum("kij,kji->k", c, c.conj(), optimize=True).real
+    return np.einsum("kij,kji->k", c, c.conj()).real
 
 
 def _raw_expectation_pure(witness: Witness, psi: PureState) -> float:
@@ -296,7 +285,7 @@ def sample_w_overlap_model(
     y = rng.exponential(size=(n, r, r))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(n, r, r))
     z = sq[:, None] * np.sqrt(y) * np.exp(1j * phase)
-    w = np.einsum("kij,kji->k", z, z.conj(), optimize=True).real
+    w = np.einsum("kij,kji->k", z, z.conj()).real
     return float(w[0]) if size is None else w
 
 

@@ -167,6 +167,14 @@ class TestScans:
         assert summary["usable"]["1"] is True
         assert summary["usable"]["64"] is False
 
+    def test_densecoding_worker_count_does_not_change_outputs(self, tmp_path):
+        base = ["densecoding", "--dims", "6", "6", "--m-list", "1,4,16,64", "--reps", "3", "--seed", "5"]
+        out1, out2 = tmp_path / "w1", tmp_path / "w2"
+        assert run_cli(base + ["--workers", "1", "--out", out1]) == 0
+        assert run_cli(base + ["--workers", "2", "--out", out2]) == 0
+        for name in ("densecoding_scan.csv", "densecoding_summary.json"):
+            assert file_bytes(out1 / name) == file_bytes(out2 / name)
+
 
 class TestManifest:
     def test_manifest_contents(self, tmp_path):

@@ -10,6 +10,7 @@ from witness_lab.qstate import (
     ghz_state,
     hermitian_spectrum,
     mix_random_states,
+    mixture_pt_eigenvalues,
     partial_trace_a,
     partial_trace_b,
     partial_transpose_b,
@@ -261,6 +262,34 @@ class TestSpectrum:
         direct = np.sort(np.linalg.eigvalsh(pt))
         law = pure_pt_eigenvalues(psi, include_diagonal=True)
         np.testing.assert_allclose(direct, law, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, m, include_diagonal",
+        [(3, 5, 1, True), (3, 5, 1, False), (3, 5, 3, True), (4, 4, 3, True)],
+    )
+    def test_mixture_pt_eigenvalues_match_explicit_spectrum(self, n_a, n_b, m, include_diagonal):
+        dims = BipartiteDims(n_a, n_b)
+        amps = sample_random_pure_batch(dims, m, rng(40 + n_a + m))
+        # rho^T_B built entry by entry, (rho^T_B)_{i alpha, j beta} = rho_{i beta, j alpha}
+        a = amps.reshape(m, n_a, n_b)
+        rho_tb = np.einsum("kib,kja->iajb", a, a.conj()).reshape(dims.total, dims.total) / m
+        direct = np.linalg.eigvalsh(rho_tb)
+        got = mixture_pt_eigenvalues(amps, dims, include_diagonal)
+        if m > 1:
+            np.testing.assert_allclose(got, direct, atol=1e-12)
+            return
+        # pure state: +mu_i mu_j, then -mu_i mu_j, then mu_i^2 unless excluded,
+        # in that order; the rest of the spectrum is zeros
+        r = dims.schmidt_len
+        half = r * (r - 1) // 2
+        assert len(got) == 2 * half + (r if include_diagonal else 0)
+        assert np.all(got[:half] > 0)
+        np.testing.assert_array_equal(got[half : 2 * half], -got[:half])
+        mu_sq = np.linalg.svd(a[0], compute_uv=False) ** 2
+        if include_diagonal:
+            np.testing.assert_array_equal(got[2 * half :], mu_sq)
+        full = np.concatenate([got[: 2 * half], mu_sq, np.zeros(dims.total - 2 * half - r)])
+        np.testing.assert_allclose(np.sort(full), direct, atol=1e-12)
 
 
 class TestEntropy:
