@@ -20,9 +20,11 @@ from . import quadrature
 from .special import elliptic_ke, erfc
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# lambda this close to 1/2 is evaluated with the limit formula; the generic
-# branch has a 0/0 cancellation there
-_RANK2_HALF_EPS = 1e-6
+# lambda with |1 - 2 lambda| below this is evaluated with the lambda = 1/2
+# limit: the generic branch keeps a 0/0 cancellation of order eps/delta^2 in
+# delta = 1 - 2 lambda, and the limit is off by order delta^2; both are
+# about 5e-9 here
+_RANK2_HALF_EPS = 2e-4
 # largest elliptic parameter passed to K; regularizes the integrable log
 # divergence of the y = 0 point to a finite (machine-log-scale) value
 _MAX_ELLIPTIC_PARAM = 1.0 - 1e-16
@@ -115,6 +117,13 @@ def _rank2_half_pdf(w: float) -> float:
     return (1.0 + 4.0 * w + 8.0 * w * w) * math.exp(-2.0 * w) / 4.0
 
 
+def _four_s_minus_two(lam: float, s: float) -> float:
+    """4s - 2 for s = sqrt(lam (1 - lam)), without cancellation: with
+    delta = 1 - 2 lam, 2s = sqrt(1 - delta^2), so 4s - 2 equals
+    -2 delta^2 / (1 + 2s)."""
+    return -2.0 * (1.0 - 2.0 * lam) ** 2 / (1.0 + 2.0 * s)
+
+
 def _rank2_pdf(lam: float, w: float) -> float:
     if abs(1.0 - 2.0 * lam) < _RANK2_HALF_EPS:
         return _rank2_half_pdf(w)
@@ -122,22 +131,25 @@ def _rank2_pdf(lam: float, w: float) -> float:
     if w < 0.0:
         return math.exp(w / s) / (4.0 * s + 2.0)
     a = (lam * math.exp(-w / lam) + (1.0 - lam) * math.exp(-w / (1.0 - lam))) / (1.0 - 2.0 * lam) ** 2
-    return a + math.exp(-w / s) / (4.0 * s - 2.0)
+    return a + math.exp(-w / s) / _four_s_minus_two(lam, s)
 
 
-def _pt_eigs_pdf(y: float) -> float:
-    if abs(y) > 4.0:
-        return 0.0
-    param = min(1.0 - y * y / 16.0, _MAX_ELLIPTIC_PARAM)
+def _pt_eigs_pdf(y):
+    """Elliptic-integral law of y = N*lambda; acts elementwise on arrays."""
+    y = np.asarray(y, dtype=float)
+    inside = np.abs(y) <= 4.0
+    param = np.where(inside, np.minimum(1.0 - y * y / 16.0, _MAX_ELLIPTIC_PARAM), 0.0)
     big_k, big_e = elliptic_ke(param)
     val = ((16.0 + y * y) * big_k - 32.0 * big_e) / (8.0 * math.pi**2)
-    return max(val, 0.0)
+    return np.where(inside, np.maximum(val, 0.0), 0.0)
 
 
-def _marcenko_pastur_pdf(tau: float) -> float:
-    if not 0.0 < tau <= 4.0:
-        return 0.0
-    return math.sqrt(tau * (4.0 - tau)) / (2.0 * math.pi * tau)
+def _marcenko_pastur_pdf(tau):
+    """Marcenko-Pastur law of tau = N*mu^2; acts elementwise on arrays."""
+    tau = np.asarray(tau, dtype=float)
+    inside = (0.0 < tau) & (tau <= 4.0)
+    t = np.where(inside, tau, 1.0)
+    return np.where(inside, np.sqrt(t * (4.0 - t)) / (2.0 * math.pi * t), 0.0)
 
 
 def density_eval(d: AnalyticDensity, x: float) -> float:
@@ -152,8 +164,8 @@ def density_eval(d: AnalyticDensity, x: float) -> float:
     if d.kind == RANK2_HALF:
         return _rank2_half_pdf(x)
     if d.kind == PT_EIGS:
-        return _pt_eigs_pdf(x)
-    return _marcenko_pastur_pdf(x)
+        return float(_pt_eigs_pdf(x))
+    return float(_marcenko_pastur_pdf(x))
 
 
 def _rank2_cdf(lam: float, w: float) -> float:
@@ -168,7 +180,7 @@ def _rank2_cdf(lam: float, w: float) -> float:
     pos = (
         lam**2 * (1.0 - math.exp(-w / lam)) + (1.0 - lam) ** 2 * (1.0 - math.exp(-w / (1.0 - lam)))
     ) / (1.0 - 2.0 * lam) ** 2
-    pos += s / (4.0 * s - 2.0) * (1.0 - math.exp(-w / s))
+    pos += s / _four_s_minus_two(lam, s) * (1.0 - math.exp(-w / s))
     return neg_mass + pos
 
 
@@ -202,10 +214,8 @@ def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
         return np.array([cdf_eval(d, float(x)) for x in xs])
     lo, hi = d.support
     clipped = np.clip(xs, lo, hi)
-    vals = quadrature.cumulative(
-        lambda t: density_eval(d, t), lo, clipped, singularities=d.singular_points
-    )
-    return np.asarray(vals)
+    pdf = _pt_eigs_pdf if d.kind == PT_EIGS else _marcenko_pastur_pdf
+    return quadrature.cumulative(pdf, lo, clipped, singularities=d.singular_points)
 
 
 def integral_over_support(d: AnalyticDensity, tol: float = 1e-9) -> float:

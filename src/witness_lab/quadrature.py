@@ -13,6 +13,8 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Iterable
 
+import numpy as np
+
 # 15-point Kronrod nodes on [-1, 1] (nonnegative half) and weights, with the
 # embedded 7-point Gauss weights on the odd-indexed nodes.
 _XK = (
@@ -45,25 +47,36 @@ _WG = (
 DEFAULT_TOL = 1e-9
 _SINGULARITY_OFFSET = 1e-6
 _MAX_PANELS = 4096
+# gaps per vectorised panel evaluation in ``cumulative``; bounds the memory
+# of the sweep (15 nodes and the AGM's work arrays per gap)
+_SWEEP_BLOCK = 1024
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One G7/K15 panel on [a, b]; returns (integral, error estimate)."""
+def _gk15(f_nodes: Callable, a, b):
+    """One G7/K15 panel on [a, b]; returns (integral, error estimate).
+
+    ``a`` and ``b`` are floats, or arrays holding one panel per element.
+    ``f_nodes`` maps the list of the 15 abscissae (the pairs mid -/+ half*x
+    for the nonzero nodes, then the center) to the integrand values there,
+    in the same order.  The values are combined node by node, so a panel
+    gives the same bits whether it is evaluated alone or with others.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
+    xs = []
+    for x in _XK[:-1]:
+        xs += [mid - half * x, mid + half * x]
+    xs.append(mid)
+    fx = f_nodes(xs)
     fk = 0.0
     fg = 0.0
-    for i, x in enumerate(_XK):
-        if x == 0.0:
-            v = f(mid)
-            fk += _WK[i] * v
-            fg += _WG[3] * v
-        else:
-            lo = f(mid - half * x)
-            hi = f(mid + half * x)
-            fk += _WK[i] * (lo + hi)
-            if i % 2 == 1:
-                fg += _WG[i // 2] * (lo + hi)
+    for i in range(len(_XK) - 1):
+        pair = fx[2 * i] + fx[2 * i + 1]
+        fk += _WK[i] * pair
+        if i % 2 == 1:
+            fg += _WG[i // 2] * pair
+    fk += _WK[-1] * fx[-1]
+    fg += _WG[-1] * fx[-1]
     return fk * half, abs(fk - fg) * half
 
 
@@ -79,6 +92,8 @@ def integrate(
 
     ``singularities`` lists points where the integrand may blow up
     (integrably); the domain is pre-split there with a small offset.
+    Raises ``ArithmeticError`` when ``max_panels`` panels do not reach
+    ``tol``.
     """
     if a == b:
         return 0.0
@@ -92,18 +107,26 @@ def integrate(
                 cuts.append(point)
     cuts = sorted(set(cuts))
 
+    def f_nodes(xs):
+        return [f(x) for x in xs]
+
     min_width = 1e-15 * (b - a)
     heap: list[tuple[float, int, float, float, float]] = []  # (-err, id, lo, hi, val)
     frozen: list[tuple[float, float]] = []  # (lo, val) of panels we stop touching
     counter = 0
     total_err = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, err = _gk15(f, lo, hi)
+        val, err = _gk15(f_nodes, lo, hi)
         heapq.heappush(heap, (-err, counter, lo, hi, val))
         counter += 1
         total_err += err
 
-    while total_err > tol and heap and counter < max_panels:
+    while total_err > tol and heap:
+        if counter >= max_panels:
+            raise ArithmeticError(
+                f"quadrature on [{a!r}, {b!r}] stopped at {counter} panels with "
+                f"error estimate {total_err:.3g} > tol {tol:.3g}"
+            )
         neg_err, _, lo, hi, val = heapq.heappop(heap)
         err = -neg_err
         if hi - lo <= min_width or err == 0.0:
@@ -112,8 +135,8 @@ def integrate(
             total_err -= err
             continue
         mid = 0.5 * (lo + hi)
-        val_l, err_l = _gk15(f, lo, mid)
-        val_r, err_r = _gk15(f, mid, hi)
+        val_l, err_l = _gk15(f_nodes, lo, mid)
+        val_r, err_r = _gk15(f_nodes, mid, hi)
         total_err += err_l + err_r - err
         heapq.heappush(heap, (-err_l, counter, lo, mid, val_l))
         counter += 1
@@ -126,24 +149,44 @@ def integrate(
 
 
 def cumulative(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     start: float,
     points,
     tol: float = DEFAULT_TOL,
     singularities: Iterable[float] = (),
-) -> list[float]:
-    """Running integral of ``f`` from ``start`` to each of the sorted
-    ``points``; used for building CDFs at sample locations."""
-    out = []
-    acc = 0.0
-    prev = start
+) -> np.ndarray:
+    """Running integral of ``f`` from ``start`` to each of the nondecreasing
+    ``points``; used for building CDFs at sample locations.
+
+    ``f`` acts elementwise on arrays and on floats.  One G7/K15 panel is
+    evaluated on every gap between consecutive points at once, in blocks of
+    ``_SWEEP_BLOCK`` gaps.  A gap whose panel misses ``tol``, or that
+    contains a singularity, goes to ``integrate``, which computes the same
+    panel (after splitting at the singularity) and refines it.  Each gap
+    therefore gets the bits ``integrate`` would give it alone, and the gaps
+    are summed in order.
+    """
+    points = np.asarray(points, dtype=float)
+    lo = np.concatenate(([start], points[:-1]))
+    if np.any(points < lo):
+        raise ValueError("points must be nondecreasing and >= start")
+    live = np.flatnonzero(points > lo)
+    a, b = lo[live], points[live]
+
+    def f_nodes(xs):
+        return f(np.stack(xs))
+
+    vals, errs = np.empty(len(live)), np.empty(len(live))
+    for i in range(0, len(live), _SWEEP_BLOCK):
+        block = slice(i, i + _SWEEP_BLOCK)
+        vals[block], errs[block] = _gk15(f_nodes, a[block], b[block])
     sings = sorted(singularities)
-    for x in points:
-        if x < prev:
-            raise ValueError("points must be nondecreasing and >= start")
-        if x > prev:
-            inner = [s for s in sings if prev < s < x]
-            acc += integrate(f, prev, x, tol=tol, singularities=inner)
-            prev = x
-        out.append(acc)
-    return out
+    refine = errs > tol
+    for s in sings:
+        refine |= (a < s) & (s < b)
+    for j in np.flatnonzero(refine):
+        inner = [s for s in sings if a[j] < s < b[j]]
+        vals[j] = integrate(f, a[j], b[j], tol=tol, singularities=inner)
+    gaps = np.zeros(len(points) + 1)
+    gaps[live + 1] = vals
+    return np.cumsum(gaps)[1:]

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -125,6 +126,36 @@ class TestCdf:
         vals = cdf_on_sorted(d, xs)
         for x, v in zip(xs, vals):
             assert v == pytest.approx(cdf_eval(d, float(x)), abs=1e-7)
+
+
+def _rank2_oracle(lam: float, w: float) -> tuple[Decimal, Decimal]:
+    """Rank-2 density and CDF from the generic closed form in 50-digit
+    decimal arithmetic, where the 1/(1 - 2 lam)^2 cancellation is harmless."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam, w, one = Decimal(lam), Decimal(w), Decimal(1)
+        s = (lam * (one - lam)).sqrt()
+        neg_mass = s / (4 * s + 2)
+        if w < 0:
+            return (w / s).exp() / (4 * s + 2), neg_mass * (w / s).exp()
+        e_lam, e_mu, e_s = (-w / lam).exp(), (-w / (one - lam)).exp(), (-w / s).exp()
+        d2 = (one - 2 * lam) ** 2
+        pdf = (lam * e_lam + (one - lam) * e_mu) / d2 + e_s / (4 * s - 2)
+        cdf = neg_mass + (lam**2 * (one - e_lam) + (one - lam) ** 2 * (one - e_mu)) / d2
+        return pdf, cdf + s / (4 * s - 2) * (one - e_s)
+
+
+def test_rank2_accurate_as_lambda_approaches_half():
+    # delta = 1 - 2 lambda from 1e-1 down to 1e-8, on both sides of 1/2
+    worst = 0.0
+    for delta in 10.0 ** -np.arange(1.0, 8.01, 0.25):
+        for lam in ((1.0 - delta) / 2, (1.0 + delta) / 2):
+            d = rank2(lam)
+            for w in (-3.0, -0.5, -1e-3, 0.0, 1e-3, 0.05, 0.3, 1.0, 2.5, 6.0, 15.0):
+                pdf, cdf = _rank2_oracle(lam, w)
+                worst = max(worst, abs(float(Decimal(density_eval(d, w)) - pdf)))
+                worst = max(worst, abs(float(Decimal(cdf_eval(d, w)) - cdf)))
+    assert worst <= 1e-8
 
 
 class TestDetectionProbability:
