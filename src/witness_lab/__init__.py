@@ -9,7 +9,7 @@ rescaled statistic w, an elliptic-integral law and the Marcenko-Pastur law
 for spectra).
 """
 
-__version__ = "0.2.2"
+__version__ = "0.3.0"
 
 from .qstate import (
     BipartiteDims,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .special import elliptic_ke, erfc
+from .special import _agm_ke, erfc
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # lambda with |1 - 2 lambda| below this is evaluated with the lambda = 1/2
@@ -25,14 +25,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # delta = 1 - 2 lambda, and the limit is off by order delta^2; both are
 # about 5e-9 here
 _RANK2_HALF_EPS = 2e-4
-# largest elliptic parameter passed to K; regularizes the integrable log
-# divergence of the y = 0 point to a finite (machine-log-scale) value
-_MAX_ELLIPTIC_PARAM = 1.0 - 1e-16
 
-GAUSS_UNIT = "gauss_unit"
 GAUSS_WIDTH = "gauss_width"
 RANK2 = "rank2"
-RANK2_HALF = "rank2_half"
 PT_EIGS = "pt_eigs"
 MARCENKO_PASTUR = "marcenko_pastur"
 
@@ -50,13 +45,13 @@ class AnalyticDensity:
     k: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in (RANK2,):
+        if self.kind == RANK2:
             if self.lam is None or not 0.0 < self.lam < 1.0:
                 raise ValueError(f"rank2 density needs lambda in (0, 1), got {self.lam}")
         elif self.kind == GAUSS_WIDTH:
             if self.k is None or self.k <= 0:
                 raise ValueError(f"gauss_width density needs k > 0, got {self.k}")
-        elif self.kind not in (GAUSS_UNIT, RANK2_HALF, PT_EIGS, MARCENKO_PASTUR):
+        elif self.kind not in (PT_EIGS, MARCENKO_PASTUR):
             raise ValueError(f"unknown density kind {self.kind!r}")
 
     @property
@@ -69,12 +64,10 @@ class AnalyticDensity:
 
     @property
     def quad_support(self) -> tuple[float, float]:
-        if self.kind == GAUSS_UNIT:
-            return (-12.0, 14.0)
         if self.kind == GAUSS_WIDTH:
             half = 12.0 / math.sqrt(self.k)
             return (1.0 - half, 1.0 + half)
-        if self.kind in (RANK2, RANK2_HALF):
+        if self.kind == RANK2:
             return (-25.0, 45.0)
         return self.support
 
@@ -86,7 +79,7 @@ class AnalyticDensity:
 
 
 def gauss_unit() -> AnalyticDensity:
-    return AnalyticDensity(GAUSS_UNIT)
+    return gauss_width(1.0)
 
 
 def gauss_width(k: float) -> AnalyticDensity:
@@ -100,7 +93,7 @@ def rank2(lam: float) -> AnalyticDensity:
 
 
 def rank2_half() -> AnalyticDensity:
-    return AnalyticDensity(RANK2_HALF)
+    return rank2(0.5)
 
 
 def pt_eigs() -> AnalyticDensity:
@@ -138,8 +131,11 @@ def _pt_eigs_pdf(y):
     """Elliptic-integral law of y = N*lambda; acts elementwise on arrays."""
     y = np.asarray(y, dtype=float)
     inside = np.abs(y) <= 4.0
-    param = np.where(inside, np.minimum(1.0 - y * y / 16.0, _MAX_ELLIPTIC_PARAM), 0.0)
-    big_k, big_e = elliptic_ke(param)
+    # the elliptic parameter is 1 - y^2/16, so the AGM starts from |y|/4
+    # exactly; y = 0, where K has an integrable log divergence, is moved to
+    # the smallest normal double to keep the value finite
+    b0 = np.where(inside, np.maximum(np.abs(y) / 4.0, np.finfo(float).tiny), 1.0)
+    big_k, big_e = _agm_ke(b0)
     val = ((16.0 + y * y) * big_k - 32.0 * big_e) / (8.0 * math.pi**2)
     return np.where(inside, np.maximum(val, 0.0), 0.0)
 
@@ -155,14 +151,10 @@ def _marcenko_pastur_pdf(tau):
 def density_eval(d: AnalyticDensity, x: float) -> float:
     """Pointwise density value; zero outside the support."""
     x = float(x)
-    if d.kind == GAUSS_UNIT:
-        return math.exp(-0.5 * (x - 1.0) ** 2) / _SQRT_2PI
     if d.kind == GAUSS_WIDTH:
         return math.sqrt(d.k) / _SQRT_2PI * math.exp(-0.5 * d.k * (x - 1.0) ** 2)
     if d.kind == RANK2:
         return _rank2_pdf(d.lam, x)
-    if d.kind == RANK2_HALF:
-        return _rank2_half_pdf(x)
     if d.kind == PT_EIGS:
         return float(_pt_eigs_pdf(x))
     return float(_marcenko_pastur_pdf(x))
@@ -188,14 +180,10 @@ def cdf_eval(d: AnalyticDensity, x: float) -> float:
     """Cumulative distribution; closed form where available, adaptive
     quadrature for the compactly supported spectral laws."""
     x = float(x)
-    if d.kind == GAUSS_UNIT:
-        return 0.5 * erfc((1.0 - x) / math.sqrt(2.0))
     if d.kind == GAUSS_WIDTH:
         return 0.5 * erfc((1.0 - x) * math.sqrt(d.k / 2.0))
     if d.kind == RANK2:
         return _rank2_cdf(d.lam, x)
-    if d.kind == RANK2_HALF:
-        return _rank2_cdf(0.5, x)
     lo, hi = d.support
     if x <= lo:
         return 0.0
@@ -210,7 +198,7 @@ def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
     """CDF at an ascending array of points; one cumulative quadrature sweep
     for the spectral laws instead of one integral per point."""
     xs = np.asarray(xs, dtype=float)
-    if d.kind in (GAUSS_UNIT, GAUSS_WIDTH, RANK2, RANK2_HALF):
+    if d.kind in (GAUSS_WIDTH, RANK2):
         return np.array([cdf_eval(d, float(x)) for x in xs])
     lo, hi = d.support
     clipped = np.clip(xs, lo, hi)
@@ -218,22 +206,18 @@ def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
     return quadrature.cumulative(pdf, lo, clipped, singularities=d.singular_points)
 
 
-def integral_over_support(d: AnalyticDensity, tol: float = 1e-9) -> float:
+def integral_over_support(d: AnalyticDensity) -> float:
     lo, hi = d.quad_support
-    return quadrature.integrate(lambda t: density_eval(d, t), lo, hi, tol=tol, singularities=d.singular_points)
+    return quadrature.integrate(lambda t: density_eval(d, t), lo, hi, singularities=d.singular_points)
 
 
 def detection_probability(d: AnalyticDensity) -> float:
     """Closed-form probability mass below zero, i.e. the chance that one
     measurement of w on a random state certifies entanglement."""
-    if d.kind == GAUSS_UNIT:
-        return 0.5 * erfc(1.0 / math.sqrt(2.0))
     if d.kind == GAUSS_WIDTH:
         return 0.5 * erfc(math.sqrt(d.k / 2.0))
     if d.kind == RANK2:
         return 1.0 / (4.0 + 2.0 / math.sqrt(d.lam * (1.0 - d.lam)))
-    if d.kind == RANK2_HALF:
-        return 0.125
     raise ValueError(f"no negative-tail semantics for density kind {d.kind!r}")
 
 
@@ -245,26 +229,14 @@ def detection_probability_asymptotic(m: int) -> float:
     return math.exp(-m / 2.0) / math.sqrt(2.0 * math.pi * m)
 
 
-def rank2_density_convolution_oracle(
-    lam: float,
-    samples: int,
-    rng: np.random.Generator,
-    bins: np.ndarray | None = None,
-):
+def rank2_density_convolution_oracle(lam: float, samples: int, rng: np.random.Generator):
     """Empirical distribution of w sampled from the two-eigenvalue overlap
     model (exponential magnitudes, uniform phases).  Entirely bypasses the
     quantum state sampler, so it validates the rank-2 closed form and the
     simulator against each other."""
-    from .ensemble import DEFAULT_W_BINS, empirical_from_samples
+    from .ensemble import empirical_from_samples
     from .witness import sample_w_overlap_model
 
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    spectrum = np.array([lam, 1.0 - lam])
-    out = np.empty(samples)
-    done = 0
-    while done < samples:
-        n = min(1 << 16, samples - done)
-        out[done : done + n] = sample_w_overlap_model(spectrum, rng, size=n)
-        done += n
-    return empirical_from_samples(out, bin_edges=DEFAULT_W_BINS if bins is None else bins)
+    return empirical_from_samples(sample_w_overlap_model(np.array([lam, 1.0 - lam]), rng, size=samples))

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -75,10 +76,14 @@ class OutputTracker:
 def _resolve_workers(flag_value: int | None) -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
-    if flag_value is not None:
-        return max(1, flag_value)
-    return max(1, os.cpu_count() or 1)
+        workers = int(env)
+    elif flag_value is not None:
+        workers = flag_value
+    else:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def _int_list(values: list[str]) -> list[int]:
@@ -97,20 +102,9 @@ def _hist_rows(dist) -> list[tuple]:
 
 
 def _summary_stats(dist) -> dict:
-    return {
-        "sample_count": dist.sample_count,
-        "mean": dist.mean,
-        "mean_std_err": dist.mean_std_err,
-        "variance": dist.variance,
-        "k2": dist.k2,
-        "k2_std_err": dist.k2_std_err,
-        "k3": dist.k3,
-        "k3_std_err": dist.k3_std_err,
-        "k4": dist.k4,
-        "k4_std_err": dist.k4_std_err,
-        "neg_tail": dist.neg_tail,
-        "neg_tail_std_err": dist.neg_tail_std_err,
-    }
+    """The scalar fields of an EmpiricalDistribution."""
+    arrays = ("bin_edges", "densities", "samples")
+    return {f.name: getattr(dist, f.name) for f in fields(dist) if f.name not in arrays}
 
 
 def _write_manifest(out: OutputTracker, args: argparse.Namespace, t0: float) -> None:
@@ -143,7 +137,6 @@ def _overlay_density(spec: WitnessSpec, m: int, sigma_sq: float | None):
 
 
 def cmd_wdist(args: argparse.Namespace, out: OutputTracker) -> None:
-    t0 = time.time()
     dims = BipartiteDims(*args.dims)
     spec = WitnessSpec.parse(args.witness)
     workers = _resolve_workers(args.workers)
@@ -172,11 +165,9 @@ def cmd_wdist(args: argparse.Namespace, out: OutputTracker) -> None:
         summary["analytic_neg_tail"] = analytic.detection_probability(overlay)
         summary["ks_vs_analytic"] = ks_statistic(dist.samples, lambda xs: analytic.cdf_on_sorted(overlay, xs))
     out.json("wdist_summary.json", summary)
-    _write_manifest(out, args, t0)
 
 
 def cmd_ptspec(args: argparse.Namespace, out: OutputTracker) -> None:
-    t0 = time.time()
     dims = BipartiteDims(*args.dims)
     workers = _resolve_workers(args.workers)
     dist = run_pt_spectrum(dims, args.m, args.states, seed=args.seed, workers=workers)
@@ -210,11 +201,9 @@ def cmd_ptspec(args: argparse.Namespace, out: OutputTracker) -> None:
             [(float(edges[i]), float(edges[i + 1]), float(dens[i])) for i in range(len(dens))],
         )
     out.json("ptspec_summary.json", summary)
-    _write_manifest(out, args, t0)
 
 
 def cmd_lmin(args: argparse.Namespace, out: OutputTracker) -> None:
-    t0 = time.time()
     n_list = _int_list(args.dims_list)
     m_list = _int_list(args.m_list)
     workers = _resolve_workers(args.workers)
@@ -233,11 +222,9 @@ def cmd_lmin(args: argparse.Namespace, out: OutputTracker) -> None:
             "repetitions": args.reps,
         },
     )
-    _write_manifest(out, args, t0)
 
 
 def cmd_decay(args: argparse.Namespace, out: OutputTracker) -> None:
-    t0 = time.time()
     dims = BipartiteDims(*args.dims)
     workers = _resolve_workers(args.workers)
     scan = run_mixture_decay(
@@ -263,11 +250,9 @@ def cmd_decay(args: argparse.Namespace, out: OutputTracker) -> None:
         },
     }
     out.json("decay_summary.json", summary)
-    _write_manifest(out, args, t0)
 
 
 def cmd_densecoding(args: argparse.Namespace, out: OutputTracker) -> None:
-    t0 = time.time()
     dims = BipartiteDims(*args.dims)
     m_list = _int_list(args.m_list)
     workers = _resolve_workers(args.workers)
@@ -285,7 +270,6 @@ def cmd_densecoding(args: argparse.Namespace, out: OutputTracker) -> None:
             "repetitions": args.reps,
         },
     )
-    _write_manifest(out, args, t0)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -389,13 +373,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
     tracker = OutputTracker(args.out, command=["witness-lab", *argv])
+    t0 = time.time()
+    # remove anything half-written so a failed or interrupted run leaves no
+    # outputs; the manifest is written last, so it only marks a complete run
     try:
         args.func(args, tracker)
-    except (ValueError, OSError) as exc:
-        # remove anything half-written so a failed run leaves no outputs
+        _write_manifest(tracker, args, t0)
+    except (ValueError, OSError, ArithmeticError) as exc:
         tracker.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        tracker.cleanup()
+        raise
     return 0
 
 

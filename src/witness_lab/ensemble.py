@@ -40,6 +40,10 @@ from .witness import (
 CHUNK_SAMPLES = 4096
 _MAX_BATCH_VARIATES = 1 << 16  # per-batch draw budget; keeps a batch in cache
 _JACKKNIFE_BLOCKS = 20
+_FLAG_Z = 4.0  # |z| above which cumulant_report flags a cumulant
+# the decay slope is fitted over m >= this; the first couple of points carry
+# the sqrt(m) prefactor and would bias the exponential rate
+_SLOPE_FIT_MIN_M = 3
 
 # Stream tags.  numpy zero-pads SeedSequence entropy, so (seed, t, c) and
 # (seed, t, c, 0) give the same stream: every tag is used with entropy tuples
@@ -415,23 +419,16 @@ def run_mixture_decay(
     seed: int = 0,
     workers: int = 1,
     witness_spec: WitnessSpec = WitnessSpec("random_full_rank"),
-    samples_per_point: "list[int] | None" = None,
-    slope_fit_min_m: int = 3,
 ) -> ScanResult:
     """Detection probability P(w < 0) versus mixture size m = 1..m_max for
     one fixed witness, with a log-slope fit over the asymptotic points
-    m >= ``slope_fit_min_m`` (the first couple of points carry the sqrt(m)
-    prefactor and would bias the exponential rate).
+    m >= ``_SLOPE_FIT_MIN_M``.
 
-    Sample counts default to samples_base * min(m, 8) so that the shrinking
+    Point m takes samples_base * min(m, 8) samples so that the shrinking
     tail keeps enough hits per point.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if samples_per_point is None:
-        samples_per_point = [samples_base * min(m, 8) for m in range(1, m_max + 1)]
-    if len(samples_per_point) != m_max:
-        raise ValueError("need one sample count per m")
     base_cfg = EnsembleConfig(dims=dims, samples=1, witness_spec=witness_spec, seed=seed)
     witness = derive_witness(base_cfg)
     if witness is None:
@@ -439,14 +436,15 @@ def run_mixture_decay(
 
     spectrum = witness_spectrum(witness)
     rows = []
-    for m, n_samp in zip(range(1, m_max + 1), samples_per_point):
+    for m in range(1, m_max + 1):
+        n_samp = samples_base * min(m, 8)
         w = _w_samples(dims, n_samp, m, spectrum, (seed, _STREAM_DECAY, m), workers)
         p = float(np.count_nonzero(w < 0)) / n_samp
         se = math.sqrt(p * (1.0 - p) / n_samp)
         rows.append(ScanRow(n=dims.n_a, m=m, value=p, std_err=se))
 
-    fit = [(r.m, r.value) for r in rows if r.m >= slope_fit_min_m and r.value > 0]
-    meta: dict = {"witness_spec": str(witness_spec), "slope_fit_min_m": slope_fit_min_m}
+    fit = [(r.m, r.value) for r in rows if r.m >= _SLOPE_FIT_MIN_M and r.value > 0]
+    meta: dict = {"witness_spec": str(witness_spec), "slope_fit_min_m": _SLOPE_FIT_MIN_M}
     if len(fit) >= 2:
         ms = np.array([f[0] for f in fit], dtype=float)
         logp = np.log([f[1] for f in fit])
@@ -473,7 +471,6 @@ def run_pt_spectrum(
     seed: int = 0,
     workers: int = 1,
     include_diagonal: bool = False,
-    bin_edges: np.ndarray = DEFAULT_Y_BINS,
 ) -> EmpiricalDistribution:
     """Pooled spectrum of rho^T_B over an ensemble of ``states`` mixtures,
     as the scaled variable y = n_a * lambda.
@@ -491,7 +488,7 @@ def run_pt_spectrum(
     tasks = [(seed, i, m, dims.n_a, dims.n_b, include_diagonal) for i in range(states)]
     parts = _map_ordered(_pt_state_task, tasks, workers)
     y = dims.n_a * np.concatenate(parts)
-    return empirical_from_samples(y, bin_edges)
+    return empirical_from_samples(y, DEFAULT_Y_BINS)
 
 
 def _lmin_point_task(task) -> tuple[float, float]:
@@ -603,10 +600,9 @@ def cumulant_report(
     dist: EmpiricalDistribution,
     witness: Witness,
     m: int = 1,
-    flag_threshold: float = 4.0,
 ) -> tuple[CumulantComparison, ...]:
     """Empirical cumulants kappa_2..kappa_4 against the trace-power
-    predictions, with jackknife z-scores; |z| above the threshold is
+    predictions, with jackknife z-scores; |z| above ``_FLAG_Z`` is
     flagged."""
     pred = predicted_cumulants(witness, m=m)
     rows = []
@@ -621,7 +617,7 @@ def cumulant_report(
                 std_err=se,
                 predicted=pred[order],
                 z_score=float(z),
-                flagged=abs(z) > flag_threshold,
+                flagged=abs(z) > _FLAG_Z,
             )
         )
     return tuple(rows)

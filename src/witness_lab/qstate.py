@@ -72,9 +72,6 @@ class PureState:
     def density_matrix(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass(frozen=True)
 class MixedState:
@@ -117,12 +114,11 @@ class MixedState:
         return cls(dims=states[0].dims, components=states)
 
     @classmethod
-    def from_matrix(cls, dims: BipartiteDims, matrix: np.ndarray, check_psd: bool = True) -> "MixedState":
+    def from_matrix(cls, dims: BipartiteDims, matrix: np.ndarray) -> "MixedState":
         state = cls(dims=dims, matrix=matrix)
-        if check_psd:
-            lo = float(np.linalg.eigvalsh(state.matrix)[0])
-            if lo < -PSD_TOL:
-                raise ValueError(f"density matrix is not PSD: min eigenvalue {lo:.3e}")
+        lo = float(np.linalg.eigvalsh(state.matrix)[0])
+        if lo < -PSD_TOL:
+            raise ValueError(f"density matrix is not PSD: min eigenvalue {lo:.3e}")
         return state
 
     @property
@@ -183,8 +179,7 @@ def sample_random_pure(dims: BipartiteDims, rng: np.random.Generator) -> PureSta
     then normalized.  This gives the unique unitarily invariant distribution,
     with E[c_i c_j*] = delta_ij / (n_a n_b).
     """
-    v = rng.standard_normal(2 * dims.total).view(np.complex128)
-    return PureState(dims, v / np.linalg.norm(v))
+    return PureState(dims, sample_random_pure_batch(dims, 1, rng)[0])
 
 
 def sample_random_pure_batch(dims: BipartiteDims, n: int, rng: np.random.Generator) -> np.ndarray:

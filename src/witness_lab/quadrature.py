@@ -84,21 +84,19 @@ def integrate(
     f: Callable[[float], float],
     a: float,
     b: float,
-    tol: float = DEFAULT_TOL,
     singularities: Iterable[float] = (),
-    max_panels: int = _MAX_PANELS,
 ) -> float:
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
+    """Integrate ``f`` over [a, b] to absolute tolerance ``DEFAULT_TOL``.
 
     ``singularities`` lists points where the integrand may blow up
     (integrably); the domain is pre-split there with a small offset.
-    Raises ``ArithmeticError`` when ``max_panels`` panels do not reach
-    ``tol``.
+    Raises ``ArithmeticError`` when ``_MAX_PANELS`` panels do not reach
+    the tolerance.
     """
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, tol=tol, singularities=singularities, max_panels=max_panels)
+        return -integrate(f, b, a, singularities=singularities)
 
     cuts = [a, b]
     for s in singularities:
@@ -121,11 +119,11 @@ def integrate(
         counter += 1
         total_err += err
 
-    while total_err > tol and heap:
-        if counter >= max_panels:
+    while total_err > DEFAULT_TOL and heap:
+        if counter >= _MAX_PANELS:
             raise ArithmeticError(
                 f"quadrature on [{a!r}, {b!r}] stopped at {counter} panels with "
-                f"error estimate {total_err:.3g} > tol {tol:.3g}"
+                f"error estimate {total_err:.3g} > tol {DEFAULT_TOL:.3g}"
             )
         neg_err, _, lo, hi, val = heapq.heappop(heap)
         err = -neg_err
@@ -152,7 +150,6 @@ def cumulative(
     f: Callable[[np.ndarray], np.ndarray],
     start: float,
     points,
-    tol: float = DEFAULT_TOL,
     singularities: Iterable[float] = (),
 ) -> np.ndarray:
     """Running integral of ``f`` from ``start`` to each of the nondecreasing
@@ -160,7 +157,7 @@ def cumulative(
 
     ``f`` acts elementwise on arrays and on floats.  One G7/K15 panel is
     evaluated on every gap between consecutive points at once, in blocks of
-    ``_SWEEP_BLOCK`` gaps.  A gap whose panel misses ``tol``, or that
+    ``_SWEEP_BLOCK`` gaps.  A gap whose panel misses ``DEFAULT_TOL``, or that
     contains a singularity, goes to ``integrate``, which computes the same
     panel (after splitting at the singularity) and refines it.  Each gap
     therefore gets the bits ``integrate`` would give it alone, and the gaps
@@ -181,12 +178,12 @@ def cumulative(
         block = slice(i, i + _SWEEP_BLOCK)
         vals[block], errs[block] = _gk15(f_nodes, a[block], b[block])
     sings = sorted(singularities)
-    refine = errs > tol
+    refine = errs > DEFAULT_TOL
     for s in sings:
         refine |= (a < s) & (s < b)
     for j in np.flatnonzero(refine):
         inner = [s for s in sings if a[j] < s < b[j]]
-        vals[j] = integrate(f, a[j], b[j], tol=tol, singularities=inner)
+        vals[j] = integrate(f, a[j], b[j], singularities=inner)
     gaps = np.zeros(len(points) + 1)
     gaps[live + 1] = vals
     return np.cumsum(gaps)[1:]

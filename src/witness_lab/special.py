@@ -35,12 +35,20 @@ def elliptic_ke(param):
     m = np.asarray(param, dtype=float)
     if not np.all((0.0 <= m) & (m <= 1.0)):
         raise ValueError(f"parameter must lie in [0, 1], got {param}")
-    a = np.ones_like(m)
-    b = np.sqrt(1.0 - m)
-    c = np.sqrt(m)
+    return _agm_ke(np.sqrt(1.0 - m))
+
+
+def _agm_ke(b0):
+    """(K, E) at the parameter m = 1 - b0^2, for b0 in [0, 1], by the AGM
+    started from (1, b0).  A caller that knows b0 exactly passes it: near
+    m = 1, forming m first rounds away the low bits of b0^2 that K depends
+    on.  Same conventions as ``elliptic_ke``."""
+    b = np.asarray(b0, dtype=float)
+    a = np.ones_like(b)
     pow2 = 0.5
-    csum = pow2 * c * c
-    active = m != 1.0
+    csum = pow2 * (1.0 - b) * (1.0 + b)
+    at_one = b == 0.0
+    active = ~at_one
     for _ in range(_MAX_AGM_STEPS):
         if not active.any():
             break
@@ -52,8 +60,8 @@ def elliptic_ke(param):
         active &= ~(c < _EPS * a)
     if active.any():
         raise ArithmeticError(f"AGM did not converge in {_MAX_AGM_STEPS} steps")
-    k_val = np.where(m == 1.0, np.inf, np.pi / (2.0 * a))
-    e_val = np.where(m == 1.0, 1.0, k_val * (1.0 - csum))
-    if m.ndim == 0:
+    k_val = np.where(at_one, np.inf, np.pi / (2.0 * a))
+    e_val = np.where(at_one, 1.0, k_val * (1.0 - csum))
+    if k_val.ndim == 0:
         return float(k_val), float(e_val)
     return k_val, e_val

@@ -43,7 +43,6 @@ class Witness:
     q_weights: np.ndarray
     q_vectors: tuple[PureState, ...]
     p_part: np.ndarray | None = field(default=None, repr=False)
-    kind: str = "rank1"
 
     def __post_init__(self) -> None:
         w = np.asarray(self.q_weights, dtype=np.float64)
@@ -105,15 +104,12 @@ class OptimalWitnessResult(NamedTuple):
 
 def witness_from_vector(phi: PureState) -> Witness:
     """Rank-one witness (|phi><phi|)^T_B."""
-    return Witness(dims=phi.dims, q_weights=np.array([1.0]), q_vectors=(phi,), kind="rank1")
+    return Witness(dims=phi.dims, q_weights=np.array([1.0]), q_vectors=(phi,))
 
 
-def witness_rank_k(
-    phis: "list[PureState] | tuple[PureState, ...]",
-    weights: np.ndarray | None = None,
-) -> Witness:
-    """Witness from k orthonormal vectors with weights d_i (uniform 1/k by
-    default).  Rejects non-orthonormal inputs."""
+def witness_rank_k(phis: "list[PureState] | tuple[PureState, ...]") -> Witness:
+    """Witness from k orthonormal vectors with uniform weights 1/k.  Rejects
+    non-orthonormal inputs."""
     phis = tuple(phis)
     if not phis:
         raise ValueError("need at least one vector")
@@ -122,10 +118,7 @@ def witness_rank_k(
     if np.abs(gram - np.eye(len(phis))).max() > ORTHONORMAL_TOL:
         raise ValueError("witness vectors are not orthonormal")
     k = len(phis)
-    if weights is None:
-        weights = np.full(k, 1.0 / k)
-    kind = "rank1" if k == 1 else "rank_k"
-    return Witness(dims=phis[0].dims, q_weights=np.asarray(weights, float), q_vectors=phis, kind=kind)
+    return Witness(dims=phis[0].dims, q_weights=np.full(k, 1.0 / k), q_vectors=phis)
 
 
 def rank2_state(dims: BipartiteDims, lam: float) -> PureState:
@@ -250,12 +243,7 @@ def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
         rho_tb = partial_transpose_b(state.to_matrix(), state.dims)
         spec = hermitian_spectrum(rho_tb, want_vectors=True)
         vec, lam_min = spec.min_eigenvector, spec.min_eigenvalue
-    w = Witness(
-        dims=state.dims,
-        q_weights=np.array([1.0]),
-        q_vectors=(PureState(state.dims, vec),),
-        kind="optimal_for_state",
-    )
+    w = witness_from_vector(PureState(state.dims, vec))
     return OptimalWitnessResult(witness=w, lambda_min=lam_min, ppt=lam_min >= 0)
 
 
@@ -269,6 +257,12 @@ def sample_w_overlap_model(
 
         w = sum_ij sqrt(lam_i lam_j) sqrt(y_ij y_ji) cos(phi_ij - phi_ji).
 
+    sqrt(y) e^{i phi} is a standard complex Gaussian, and for two of them
+    2 Re(a conj(b)) = E - E' with E, E' independent Exp(1) (the squared
+    moduli of (a +- b)/sqrt(2)).  So w has the law of sum_k c_k E_k with
+    c = {lam_i} and {+sqrt(lam_i lam_j), -sqrt(lam_i lam_j)} for i < j,
+    which is how it is drawn.
+
     This is a purely classical sampler over the witness's reduced spectrum
     lam_i, independent of the quantum simulation path, and serves as its
     statistical oracle.
@@ -278,14 +272,10 @@ def sample_w_overlap_model(
         raise ValueError("eigenvalues must be nonnegative")
     if abs(lam.sum() - 1.0) > 1e-9:
         raise ValueError(f"eigenvalues must sum to 1, got {lam.sum()!r}")
-    r = len(lam)
+    off = np.sqrt(np.outer(lam, lam)[np.triu_indices(len(lam), k=1)])
+    c = np.concatenate([lam, off, -off])
     n = 1 if size is None else int(size)
-    sq = np.sqrt(lam)
-    # z_ij = sqrt(lam_i) sqrt(y_ij) e^{i phi_ij}; w = Re sum_ij z_ij conj(z_ji)
-    y = rng.exponential(size=(n, r, r))
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(n, r, r))
-    z = sq[:, None] * np.sqrt(y) * np.exp(1j * phase)
-    w = np.einsum("kij,kji->k", z, z.conj()).real
+    w = rng.standard_exponential((n, len(c))) @ c
     return float(w[0]) if size is None else w
 
 

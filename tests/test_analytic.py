@@ -25,14 +25,16 @@ from witness_lab.ensemble import ks_statistic
 
 from conftest import rng
 
+# gauss_unit() and rank2_half() are gauss_width(1) and rank2(0.5); the explicit
+# ids keep their test names apart from those kinds
 ALL_KINDS = [
-    gauss_unit(),
+    pytest.param(gauss_unit(), id="gauss_unit-None-None"),
     gauss_width(4),
     gauss_width(16),
     rank2(0.5),
     rank2(1 / 26),
     rank2(0.12),
-    rank2_half(),
+    pytest.param(rank2_half(), id="rank2_half-None-None"),
     pt_eigs(),
     marcenko_pastur(),
 ]
@@ -126,6 +128,14 @@ class TestCdf:
         vals = cdf_on_sorted(d, xs)
         for x, v in zip(xs, vals):
             assert v == pytest.approx(cdf_eval(d, float(x)), abs=1e-7)
+
+    def test_pt_eigs_mass_near_zero_is_kept(self):
+        # the log peak at y = 0 keeps its mass only if K is evaluated from
+        # |y|/4 itself: the parameter 1 - y^2/16 drops the low bits of
+        # y^2/16 and rounds to 1 for |y| below 3e-8
+        d = pt_eigs()
+        assert abs(integral_over_support(d) - 1.0) < 1e-9
+        assert abs(cdf_eval(d, 0.0) - 0.5) < 1e-9
 
 
 def _rank2_oracle(lam: float, w: float) -> tuple[Decimal, Decimal]:

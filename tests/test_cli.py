@@ -101,6 +101,18 @@ class TestWdist:
         monkeypatch.setattr(cli.OutputTracker, "json", real_json)
         assert list(out.glob("*.csv")) == []
 
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_zero_workers_rejected(self, tmp_path, capsys, monkeypatch, how):
+        out = tmp_path / "w0"
+        args = ["wdist", "--dims", "8", "8", "--samples", "100", "--out", out]
+        if how == "flag":
+            args += ["--workers", "0"]
+        else:
+            monkeypatch.setenv(cli.WORKERS_ENV, "0")
+        assert run_cli(args) == 1
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_zero_m_is_usage_error(self, tmp_path):
         code = run_cli(["wdist", "--dims", "8", "8", "--samples", "100", "--m", "0", "--out", tmp_path / "x"])
         assert code != 0
@@ -127,6 +139,22 @@ class TestPtspec:
 
     def test_zero_m_usage_error(self, tmp_path):
         assert run_cli(["ptspec", "--dims", "8", "8", "--m", "0", "--out", tmp_path / "x"]) != 0
+
+    @pytest.mark.parametrize("exc", [ArithmeticError, KeyboardInterrupt])
+    def test_failure_after_first_write_leaves_no_outputs(self, tmp_path, monkeypatch, exc):
+        # ptspec writes its histogram and overlay before the KS distance
+        def boom(d, xs):
+            raise exc("quadrature did not converge")
+
+        monkeypatch.setattr(cli.analytic, "cdf_on_sorted", boom)
+        out = tmp_path / "fail"
+        args = ["ptspec", "--dims", "8", "8", "--m", "1", "--states", "2", "--workers", "1", "--out", out]
+        if exc is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                run_cli(args)
+        else:
+            assert run_cli(args) == 1
+        assert list(out.iterdir()) == []
 
 
 class TestScans:

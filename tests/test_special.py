@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate as sp_integrate
 from scipy import special as sp_special
 
-from witness_lab import analytic, special
+from witness_lab import analytic, quadrature, special
 from witness_lab.quadrature import cumulative, integrate
 from witness_lab.special import elliptic_ke, erf, erfc
 
@@ -123,9 +123,10 @@ def test_cumulative_matches_point_integrals():
         assert v == pytest.approx(x**3 / 3, abs=1e-12)
 
 
-def test_quadrature_raises_when_panel_cap_misses_tolerance():
-    with pytest.raises(ArithmeticError, match="tol 1e-12"):
-        integrate(lambda x: abs(x) ** -0.5, 0.0, 1.0, tol=1e-12, max_panels=4)
+def test_quadrature_raises_when_panel_cap_misses_tolerance(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
+    with pytest.raises(ArithmeticError, match="tol 1e-09"):
+        integrate(lambda x: abs(x) ** -0.5, 0.0, 1.0)
 
 
 def test_cumulative_rejects_descending_points():

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from witness_lab.ensemble import ks_statistic, ks_statistic_two_sample
+from witness_lab.ensemble import empirical_from_samples, ks_statistic, ks_statistic_two_sample
 from witness_lab.qstate import (
     BipartiteDims,
     MixedState,
@@ -270,6 +272,27 @@ class TestOverlapModel:
         )
         ks = ks_statistic(out, lambda xs: cdf_on_sorted(gauss_unit(), xs))
         assert ks < 0.01
+
+    def test_matches_complex_phase_form_and_moments(self):
+        # reference: the overlap model as first written, with exponential
+        # magnitudes y_ij and uniform phases phi_ij,
+        # w = sum_ij sqrt(lam_i lam_j) sqrt(y_ij y_ji) cos(phi_ij - phi_ji)
+        lam = np.array([0.6, 0.3, 0.1])
+        n = 100_000
+        r = rng(21)
+        y = r.exponential(size=(n, 3, 3))
+        z = np.sqrt(lam)[:, None] * np.sqrt(y) * np.exp(1j * r.uniform(0.0, 2.0 * np.pi, size=(n, 3, 3)))
+        reference = np.einsum("kij,kji->k", z, z.conj()).real
+
+        draws = sample_w_overlap_model(lam, rng(22), size=n)
+        # DKW bound on each empirical CDF, false-alarm probability 1e-6 in all
+        eps = 2 * math.sqrt(math.log(2 / 0.5e-6) / (2 * n))
+        assert ks_statistic_two_sample(draws, reference) < eps
+
+        dist = empirical_from_samples(draws)
+        assert abs(dist.mean - 1.0) < 5 * dist.mean_std_err
+        assert abs(dist.variance - 1.0) < 5 * dist.k2_std_err
+        assert abs(dist.k3 - 2 * np.sum(lam**3)) < 5 * dist.k3_std_err
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
