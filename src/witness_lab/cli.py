@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__, analytic
 from .ensemble import (
+    BLAS_THREADS_PER_TASK,
     DEFAULT_W_BINS,
     EnsembleConfig,
     WitnessSpec,
@@ -107,7 +108,7 @@ def _summary_stats(dist) -> dict:
     return {f.name: getattr(dist, f.name) for f in fields(dist) if f.name not in arrays}
 
 
-def _write_manifest(out: OutputTracker, args: argparse.Namespace, t0: float) -> None:
+def _write_manifest(out: OutputTracker, args: argparse.Namespace, workers: int, t0: float) -> None:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     config = {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()}
     payload = {
@@ -115,6 +116,8 @@ def _write_manifest(out: OutputTracker, args: argparse.Namespace, t0: float) -> 
         "config": config,
         "seed": args.seed,
         "version": __version__,
+        "workers": workers,
+        "blas_threads_per_task": BLAS_THREADS_PER_TASK,
         "wall_time_s": time.time() - t0,
         "outputs": [p.name for p in out.paths],
     }
@@ -136,10 +139,9 @@ def _overlay_density(spec: WitnessSpec, m: int, sigma_sq: float | None):
     return analytic.gauss_width(m / sigma_sq)
 
 
-def cmd_wdist(args: argparse.Namespace, out: OutputTracker) -> None:
+def cmd_wdist(args: argparse.Namespace, workers: int, out: OutputTracker) -> None:
     dims = BipartiteDims(*args.dims)
     spec = WitnessSpec.parse(args.witness)
-    workers = _resolve_workers(args.workers)
     config = EnsembleConfig(
         dims=dims, samples=args.samples, m=args.m, witness_spec=spec, seed=args.seed, workers=workers
     )
@@ -167,9 +169,8 @@ def cmd_wdist(args: argparse.Namespace, out: OutputTracker) -> None:
     out.json("wdist_summary.json", summary)
 
 
-def cmd_ptspec(args: argparse.Namespace, out: OutputTracker) -> None:
+def cmd_ptspec(args: argparse.Namespace, workers: int, out: OutputTracker) -> None:
     dims = BipartiteDims(*args.dims)
-    workers = _resolve_workers(args.workers)
     dist = run_pt_spectrum(dims, args.m, args.states, seed=args.seed, workers=workers)
 
     out.csv("ptspec_hist.csv", ["bin_left", "bin_right", "density"], _hist_rows(dist))
@@ -203,10 +204,9 @@ def cmd_ptspec(args: argparse.Namespace, out: OutputTracker) -> None:
     out.json("ptspec_summary.json", summary)
 
 
-def cmd_lmin(args: argparse.Namespace, out: OutputTracker) -> None:
+def cmd_lmin(args: argparse.Namespace, workers: int, out: OutputTracker) -> None:
     n_list = _int_list(args.dims_list)
     m_list = _int_list(args.m_list)
-    workers = _resolve_workers(args.workers)
     scan = run_lambda_min_scan(n_list, m_list, args.reps, seed=args.seed, workers=workers)
 
     out.csv(
@@ -224,9 +224,8 @@ def cmd_lmin(args: argparse.Namespace, out: OutputTracker) -> None:
     )
 
 
-def cmd_decay(args: argparse.Namespace, out: OutputTracker) -> None:
+def cmd_decay(args: argparse.Namespace, workers: int, out: OutputTracker) -> None:
     dims = BipartiteDims(*args.dims)
-    workers = _resolve_workers(args.workers)
     scan = run_mixture_decay(
         dims,
         m_max=args.m_max,
@@ -252,10 +251,9 @@ def cmd_decay(args: argparse.Namespace, out: OutputTracker) -> None:
     out.json("decay_summary.json", summary)
 
 
-def cmd_densecoding(args: argparse.Namespace, out: OutputTracker) -> None:
+def cmd_densecoding(args: argparse.Namespace, workers: int, out: OutputTracker) -> None:
     dims = BipartiteDims(*args.dims)
     m_list = _int_list(args.m_list)
-    workers = _resolve_workers(args.workers)
     scan = dense_coding_scan(dims, m_list, repetitions=args.reps, seed=args.seed, workers=workers)
     out.csv(
         "densecoding_scan.csv",
@@ -377,8 +375,9 @@ def main(argv: list[str] | None = None) -> int:
     # remove anything half-written so a failed or interrupted run leaves no
     # outputs; the manifest is written last, so it only marks a complete run
     try:
-        args.func(args, tracker)
-        _write_manifest(tracker, args, t0)
+        workers = _resolve_workers(args.workers)
+        args.func(args, workers, tracker)
+        _write_manifest(tracker, args, workers, t0)
     except (ValueError, OSError, ArithmeticError) as exc:
         tracker.cleanup()
         print(f"error: {exc}", file=sys.stderr)

@@ -8,19 +8,34 @@ Work is split into fixed-size chunks of consecutive sample indices.  Chunk
 ``(seed, stream_tag, ..., i)``, and chunk results are reduced in index
 order, so results are bit-identical for any worker count.  Inside a chunk,
 batch sizes depend only on the configuration, never on the machine.
+
+Thread policy
+-------------
+Every task runs on one BLAS thread, in a pool worker and in-process alike,
+so ``workers`` is the only parallelism and a multithreaded BLAS cannot
+change a task's bits with the machine's core count.  ``_map_ordered`` sets
+numpy's bundled OpenBLAS to one thread before it runs a task or forks a
+pool (workers inherit the setting), and never restores the caller's count:
+setting it again after a fork restarts OpenBLAS's thread pool, whose idle
+threads then spin.  So after its first ensemble map, a process computes on
+one BLAS thread.  When no OpenBLAS is found, nothing is set and
+``BLAS_THREADS_PER_TASK`` is None.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .qstate import (
     BipartiteDims,
     MixedState,
+    mixture_density,
     mixture_pt_eigenvalues,
     partial_trace_b,
     sample_random_pure_batch,
@@ -282,7 +297,39 @@ def derive_witness(config: EnsembleConfig) -> Witness | None:
     return None
 
 
+def _openblas_thread_controls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when the library or its symbols are not found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    names = (
+        ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+        ("openblas_get_num_threads", "openblas_set_num_threads"),
+    )
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in names:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_thread_controls()
+BLAS_THREADS_PER_TASK = None if _OPENBLAS_THREADS is None else 1
+
+
 def _map_ordered(fn, tasks, workers: int):
+    """``[fn(t) for t in tasks]``, over a process pool when ``workers`` > 1,
+    each task on one BLAS thread (see the module docstring)."""
+    if _OPENBLAS_THREADS is not None:
+        get, put = _OPENBLAS_THREADS
+        if get() != 1:
+            put(1)
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
@@ -629,7 +676,7 @@ def _dc_point_task(task) -> tuple[float, float]:
     vals = np.empty(reps)
     for rep in range(reps):
         comps = sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_DC, point_idx, rep))
-        rho = (comps.T @ comps.conj()) / m
+        rho = mixture_density(comps)
         mats = comps.reshape(m, n_a, n_b)
         rho_a = np.einsum("kab,kcb->ac", mats, mats.conj()) / m
         vals[rep] = von_neumann_entropy(rho_a) - von_neumann_entropy(rho)

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from witness_lab import cli
+from witness_lab import cli, ensemble
 
 
 def run_cli(args):
@@ -214,3 +217,39 @@ class TestManifest:
         assert manifest["wall_time_s"] >= 0
         assert set(manifest["outputs"]) == {"wdist_hist.csv", "wdist_analytic.csv", "wdist_summary.json"}
         assert "wdist" in manifest["command"]
+        assert manifest["workers"] == 1
+        assert manifest["blas_threads_per_task"] == ensemble.BLAS_THREADS_PER_TASK
+        assert manifest["blas_threads_per_task"] in (1, None)
+
+    def test_manifest_records_resolved_workers(self, tmp_path, monkeypatch):
+        out = tmp_path / "env"
+        monkeypatch.setenv(cli.WORKERS_ENV, "2")
+        assert run_cli(SMALL_WDIST + ["--out", out]) == 0
+        manifest = read_json(out / "manifest.json")
+        assert manifest["workers"] == 2
+        assert manifest["config"]["workers"] == 1  # the flag as given
+
+
+class TestCoreCountIndependence:
+    """Each task runs on one BLAS thread, so the BLAS thread count a process
+    starts with does not reach the data files.  At 8 x 8 the solver stays
+    single-threaded anyway; 16 x 16 mixtures are where it would not."""
+
+    RUNS = {
+        "lmin": (["lmin", "--dims-list", "16", "--m-list", "300,400", "--reps", "3"], ("lmin_scan.csv", "lmin_summary.json")),
+        "ptspec": (["ptspec", "--dims", "16", "16", "--m", "300", "--states", "2"], ("ptspec_hist.csv", "ptspec_hist_scaled.csv", "ptspec_summary.json")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, name):
+        args, outputs = self.RUNS[name]
+        src = Path(cli.__file__).resolve().parents[1]
+        data = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+            env.pop(cli.WORKERS_ENV, None)
+            cmd = [sys.executable, "-m", "witness_lab.cli", *args, "--workers", "1", "--out", str(out)]
+            subprocess.run(cmd, env=env, check=True, timeout=300)
+            data[threads] = [file_bytes(out / f) for f in outputs]
+        assert data["1"] == data["2"]

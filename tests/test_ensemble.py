@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from witness_lab.analytic import cdf_on_sorted, rank2 as rank2_density, rank2_density_convolution_oracle
+from witness_lab import ensemble
 from witness_lab.ensemble import (
     CriticalMRow,
     EmpiricalDistribution,
@@ -96,6 +97,21 @@ class TestEmpirical:
         dist = empirical_from_samples(x)
         assert dist.neg_tail == 0.25
         assert dist.neg_tail_std_err == pytest.approx(math.sqrt(0.25 * 0.75 / 100), abs=1e-15)
+
+
+def _blas_threads(_task) -> int:
+    get, _ = ensemble._OPENBLAS_THREADS
+    return get()
+
+
+@pytest.mark.skipif(ensemble._OPENBLAS_THREADS is None, reason="numpy's OpenBLAS was not found")
+class TestBlasThreadPolicy:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_task_runs_on_one_blas_thread(self, workers):
+        _, put = ensemble._OPENBLAS_THREADS
+        put(2)  # as at import on a multi-core machine; the map sets it back to 1
+        assert ensemble._map_ordered(_blas_threads, [0, 1, 2, 3], workers) == [1, 1, 1, 1]
+        assert ensemble.BLAS_THREADS_PER_TASK == 1
 
 
 class TestDeterminism:

@@ -10,6 +10,7 @@ from witness_lab.qstate import (
     ghz_state,
     hermitian_spectrum,
     mix_random_states,
+    mixture_density,
     mixture_pt_eigenvalues,
     partial_trace_a,
     partial_trace_b,
@@ -46,6 +47,14 @@ class TestSampling:
     def test_unit_norm(self):
         psi = sample_random_pure(BipartiteDims(2, 2), rng(11))
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n_a, n_b, n", [(2, 2, 1), (3, 5, 7), (16, 16, 300)])
+    def test_batch_equals_complex_division_bit_for_bit(self, n_a, n_b, n):
+        dims = BipartiteDims(n_a, n_b)
+        x = rng(n).standard_normal((n, 2 * dims.total))
+        ref = x.view(np.complex128) / np.sqrt(np.einsum("ki,ki->k", x, x))[:, None]
+        got = sample_random_pure_batch(dims, n, rng(n))
+        np.testing.assert_array_equal(got.view(np.float64), ref.view(np.float64))
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
@@ -290,6 +299,25 @@ class TestSpectrum:
             np.testing.assert_array_equal(got[2 * half :], mu_sq)
         full = np.concatenate([got[: 2 * half], mu_sq, np.zeros(dims.total - 2 * half - r)])
         np.testing.assert_allclose(np.sort(full), direct, atol=1e-12)
+
+
+class TestMixtureDensity:
+    @pytest.mark.parametrize("rows", [slice(None), slice(None, None, 2)], ids=["contiguous", "row-slice"])
+    def test_matches_complex_product_and_is_hermitian(self, rows):
+        amps = sample_random_pure_batch(BipartiteDims(4, 6), 9, rng(3))[rows]
+        rho = mixture_density(amps)
+        ref = amps.T @ amps.conj() / len(amps)
+        assert np.abs(rho - ref).max() < 1e-15
+        np.testing.assert_array_equal(rho, rho.conj().T)
+
+    @pytest.mark.parametrize("n_a, n_b", [(3, 5), (5, 3), (4, 2)])
+    @pytest.mark.parametrize("m", [2, 7, 40])
+    def test_mixture_pt_eigenvalues_match_dense_path(self, n_a, n_b, m):
+        dims = BipartiteDims(n_a, n_b)
+        amps = sample_random_pure_batch(dims, m, rng(100 + 10 * n_a + m))
+        rho = amps.T @ amps.conj() / m
+        direct = np.linalg.eigvalsh(partial_transpose_b(rho, dims))
+        np.testing.assert_allclose(mixture_pt_eigenvalues(amps, dims), direct, rtol=0, atol=1e-14)
 
 
 class TestEntropy:
