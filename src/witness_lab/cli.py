@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -44,27 +45,38 @@ def _fmt(x: float) -> str:
 
 
 class OutputTracker:
-    """Collects written files so a failed run can clean up after itself."""
+    """Collects written files so a failed run can clean up after itself.
+
+    Each file is written under a temporary name in ``out_dir`` and renamed
+    into place when complete, so no output is ever seen half-written; the
+    temporary name is tracked from before the first byte, so ``cleanup``
+    also removes an interrupted write."""
 
     def __init__(self, out_dir: Path, command: list[str] | None = None):
         self.out_dir = out_dir
         self.command = command or []
         self.paths: list[Path] = []
 
-    def csv(self, name: str, header: list[str], rows) -> None:
+    @contextmanager
+    def atomic_open(self, name: str, newline: str | None = None):
         path = self.out_dir / name
-        with open(path, "w", newline="") as fh:
+        tmp = self.out_dir / f".{name}.tmp"
+        self.paths.append(tmp)
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+        self.paths[self.paths.index(tmp)] = path
+
+    def csv(self, name: str, header: list[str], rows) -> None:
+        with self.atomic_open(name, newline="") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-        self.paths.append(path)
 
     def json(self, name: str, payload: dict) -> None:
-        path = self.out_dir / name
-        with open(path, "w") as fh:
+        with self.atomic_open(name) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        self.paths.append(path)
 
     def cleanup(self) -> None:
         for path in self.paths:
@@ -121,7 +133,7 @@ def _write_manifest(out: OutputTracker, args: argparse.Namespace, workers: int, 
         "wall_time_s": time.time() - t0,
         "outputs": [p.name for p in out.paths],
     }
-    with open(out.out_dir / "manifest.json", "w") as fh:
+    with out.atomic_open("manifest.json") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -372,6 +372,22 @@ def _w_chunk_task(task) -> np.ndarray:
     return out
 
 
+def _w_tasks(
+    dims: BipartiteDims,
+    samples: int,
+    m: int,
+    spectrum: WitnessSpectrum | None,
+    entropy: tuple[int, ...],
+) -> list[tuple]:
+    """``_w_chunk_task`` tasks for ``samples`` w values: chunk i holds the
+    next ``CHUNK_SAMPLES`` samples (the last chunk the rest) and draws from
+    the stream ``(*entropy, i)``."""
+    return [
+        (entropy, i, min(CHUNK_SAMPLES, samples - start), m, dims.n_a, dims.n_b, spectrum)
+        for i, start in enumerate(range(0, samples, CHUNK_SAMPLES))
+    ]
+
+
 def _w_samples(
     dims: BipartiteDims,
     samples: int,
@@ -383,16 +399,8 @@ def _w_samples(
     """w for ``samples`` uniform mixtures of m Haar states, measured against
     the witness with this spectrum, or against each state's optimal witness
     when ``spectrum`` is None."""
-    tasks = []
-    start = 0
-    chunk_idx = 0
-    while start < samples:
-        count = min(CHUNK_SAMPLES, samples - start)
-        tasks.append((entropy, chunk_idx, count, m, dims.n_a, dims.n_b, spectrum))
-        start += count
-        chunk_idx += 1
-    parts = _map_ordered(_w_chunk_task, tasks, workers)
-    return np.concatenate(parts)
+    tasks = _w_tasks(dims, samples, m, spectrum, entropy)
+    return np.concatenate(_map_ordered(_w_chunk_task, tasks, workers))
 
 
 def run_w_ensemble(
@@ -482,10 +490,19 @@ def run_mixture_decay(
         raise ValueError("mixture decay needs a fixed witness, not optimal_per_state")
 
     spectrum = witness_spectrum(witness)
+    sizes = {m: samples_base * min(m, 8) for m in range(1, m_max + 1)}
+    tasks = [
+        task
+        for m, n_samp in sizes.items()
+        for task in _w_tasks(dims, n_samp, m, spectrum, (seed, _STREAM_DECAY, m))
+    ]
+    # one map over the chunks of every point, largest (samples x m) first so
+    # that no worker is left alone with a big chunk at the end
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][2] * tasks[i][3])
+    results = dict(zip(order, _map_ordered(_w_chunk_task, [tasks[i] for i in order], workers)))
     rows = []
-    for m in range(1, m_max + 1):
-        n_samp = samples_base * min(m, 8)
-        w = _w_samples(dims, n_samp, m, spectrum, (seed, _STREAM_DECAY, m), workers)
+    for m, n_samp in sizes.items():
+        w = np.concatenate([results[i] for i, task in enumerate(tasks) if task[3] == m])
         p = float(np.count_nonzero(w < 0)) / n_samp
         se = math.sqrt(p * (1.0 - p) / n_samp)
         rows.append(ScanRow(n=dims.n_a, m=m, value=p, std_err=se))

@@ -97,16 +97,18 @@ def integrate(
         return 0.0
     if b < a:
         return -integrate(f, b, a, singularities=singularities)
+    return _adaptive(lambda xs: [f(x) for x in xs], a, b, singularities)
 
+
+def _adaptive(f_nodes: Callable, a: float, b: float, singularities: Iterable[float]) -> float:
+    """``integrate``'s panel loop on a < b, with ``f_nodes`` as in
+    ``_gk15``."""
     cuts = [a, b]
     for s in singularities:
         for point in (s - _SINGULARITY_OFFSET, s, s + _SINGULARITY_OFFSET):
             if a < point < b:
                 cuts.append(point)
     cuts = sorted(set(cuts))
-
-    def f_nodes(xs):
-        return [f(x) for x in xs]
 
     min_width = 1e-15 * (b - a)
     heap: list[tuple[float, int, float, float, float]] = []  # (-err, id, lo, hi, val)
@@ -155,11 +157,12 @@ def cumulative(
     """Running integral of ``f`` from ``start`` to each of the nondecreasing
     ``points``; used for building CDFs at sample locations.
 
-    ``f`` acts elementwise on arrays and on floats.  One G7/K15 panel is
+    ``f`` acts elementwise on arrays.  One G7/K15 panel is
     evaluated on every gap between consecutive points at once, in blocks of
     ``_SWEEP_BLOCK`` gaps.  A gap whose panel misses ``DEFAULT_TOL``, or that
-    contains a singularity, goes to ``integrate``, which computes the same
-    panel (after splitting at the singularity) and refines it.  Each gap
+    contains a singularity, goes to ``integrate``'s panel loop, which
+    computes the same panel (after splitting at the singularity) and refines
+    it, with one call of ``f`` on the 15 nodes of each panel.  Each gap
     therefore gets the bits ``integrate`` would give it alone, and the gaps
     are summed in order.
     """
@@ -183,7 +186,7 @@ def cumulative(
         refine |= (a < s) & (s < b)
     for j in np.flatnonzero(refine):
         inner = [s for s in sings if a[j] < s < b[j]]
-        vals[j] = integrate(f, a[j], b[j], singularities=inner)
+        vals[j] = _adaptive(f_nodes, a[j], b[j], inner)
     gaps = np.zeros(len(points) + 1)
     gaps[live + 1] = vals
     return np.cumsum(gaps)[1:]

@@ -207,6 +207,30 @@ class TestScans:
             assert file_bytes(out1 / name) == file_bytes(out2 / name)
 
 
+class TestOutputTracker:
+    def test_interrupted_csv_leaves_no_file(self, tmp_path):
+        out = cli.OutputTracker(tmp_path)
+
+        def rows():
+            for i in range(3):
+                yield (float(i), i)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            out.csv("half.csv", ["x", "i"], rows())
+        assert not (tmp_path / "half.csv").exists()
+        out.cleanup()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_finished_files_replace_their_temporaries(self, tmp_path):
+        out = cli.OutputTracker(tmp_path)
+        out.csv("a.csv", ["x"], [(1.5,)])
+        out.json("b.json", {"k": 1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.json"]
+        assert out.paths == [tmp_path / "a.csv", tmp_path / "b.json"]
+        assert (tmp_path / "a.csv").read_text() == "x\n1.5\n"
+
+
 class TestManifest:
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "man"

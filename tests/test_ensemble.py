@@ -372,6 +372,65 @@ class TestMixtureDecay:
         with pytest.raises(ValueError):
             run_mixture_decay(BipartiteDims(4, 4), 2, 100, witness_spec=WitnessSpec("optimal_per_state"))
 
+    # base 3000 at 8 x 8: the points m = 1..4 hold 1, 2, 3 and 3 chunks
+    DIMS, M_MAX, BASE, SEED = BipartiteDims(8, 8), 4, 3000, 25
+
+    def _scan(self, workers):
+        return run_mixture_decay(self.DIMS, self.M_MAX, self.BASE, seed=self.SEED, workers=workers)
+
+    def test_one_map_equals_a_map_per_point(self):
+        witness = derive_witness(EnsembleConfig(dims=self.DIMS, samples=1, seed=self.SEED))
+        spectrum = witness_spectrum(witness)
+        want = []
+        for m in range(1, self.M_MAX + 1):
+            n = self.BASE * m
+            entropy = (self.SEED, ensemble._STREAM_DECAY, m)
+            w = ensemble._w_samples(self.DIMS, n, m, spectrum, entropy, 1)
+            p = float(np.count_nonzero(w < 0)) / n
+            want.append(ensemble.ScanRow(n=8, m=m, value=p, std_err=math.sqrt(p * (1.0 - p) / n)))
+        ms = np.array([r.m for r in want[2:]], dtype=float)
+        logp = np.log([r.value for r in want[2:]])
+        slope, intercept = np.polyfit(ms, logp, 1)
+        resid = logp - (slope * ms + intercept)
+        dof = max(len(ms) - 2, 1)
+        slope_se = math.sqrt(float(np.sum(resid**2)) / dof / float(np.sum((ms - ms.mean()) ** 2)))
+
+        scan = self._scan(1)
+        assert scan.rows == tuple(want)
+        assert scan.metadata == {
+            "witness_spec": "random",
+            "slope_fit_min_m": 3,
+            "slope": float(slope),
+            "intercept": float(intercept),
+            "slope_std_err": slope_se,
+        }
+
+    def test_worker_count_does_not_change_the_bits(self):
+        one, two = self._scan(1), self._scan(2)
+        assert one.rows == two.rows
+        assert one.metadata == two.metadata
+
+    def test_one_pool_largest_chunks_first(self, monkeypatch):
+        pools, maps = [], []
+
+        class CountingPool(ensemble.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        real_map = ensemble._map_ordered
+
+        def recording_map(fn, tasks, workers):
+            maps.append([count * m for _, _, count, m, *_ in tasks])
+            return real_map(fn, tasks, workers)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(ensemble, "_map_ordered", recording_map)
+        self._scan(2)
+        assert len(pools) == 1
+        assert len(maps) == 1 and len(maps[0]) == 9
+        assert maps[0] == sorted(maps[0], reverse=True)
+
 
 class TestDenseCoding:
     def test_pure_random_state_is_usable(self):

@@ -182,7 +182,8 @@ def test_mp_law_goes_through_the_array_path(monkeypatch):
     monkeypatch.setattr(np, "vectorize", None)
     got = analytic.cdf_on_sorted(d, xs)
     assert np.array_equal(got, want)
-    # one call on the 15 nodes of every nonempty gap; scalar calls only for
-    # the gaps that refine (the 1/sqrt(tau) edge at 0, the edge at 4)
+    # one call on the 15 nodes of every nonempty gap, then one call on the 15
+    # nodes of each panel of the gaps that refine (the 1/sqrt(tau) edge at 0,
+    # the edge at 4)
     assert shapes[0] == (15, np.count_nonzero(np.diff(np.clip(xs, 0.0, 4.0), prepend=0.0)))
-    assert set(shapes[1:]) == {()}
+    assert set(shapes[1:]) == {(15,)}
