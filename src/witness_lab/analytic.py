@@ -160,6 +160,17 @@ def density_eval(d: AnalyticDensity, x: float) -> float:
     return float(_marcenko_pastur_pdf(x))
 
 
+def density_on_array(d: AnalyticDensity, xs) -> np.ndarray:
+    """Density at an array of points: one elementwise call for the spectral
+    laws, which gives each point the bits ``density_eval`` gives it alone."""
+    xs = np.asarray(xs, dtype=float)
+    if d.kind == PT_EIGS:
+        return _pt_eigs_pdf(xs)
+    if d.kind == MARCENKO_PASTUR:
+        return _marcenko_pastur_pdf(xs)
+    return np.array([density_eval(d, float(x)) for x in xs])
+
+
 def _rank2_cdf(lam: float, w: float) -> float:
     if abs(1.0 - 2.0 * lam) < _RANK2_HALF_EPS:
         if w < 0.0:
@@ -178,7 +189,9 @@ def _rank2_cdf(lam: float, w: float) -> float:
 
 def cdf_eval(d: AnalyticDensity, x: float) -> float:
     """Cumulative distribution; closed form where available, adaptive
-    quadrature for the compactly supported spectral laws."""
+    quadrature for the compactly supported spectral laws (the bits of
+    ``cdf_on_sorted`` at the one point), exactly 0 and 1 at and beyond the
+    support's edges."""
     x = float(x)
     if d.kind == GAUSS_WIDTH:
         return 0.5 * erfc((1.0 - x) * math.sqrt(d.k / 2.0))
@@ -189,21 +202,30 @@ def cdf_eval(d: AnalyticDensity, x: float) -> float:
         return 0.0
     if x >= hi:
         return 1.0
-    return quadrature.integrate(
-        lambda t: density_eval(d, t), lo, x, singularities=d.singular_points
-    )
+    return float(cdf_on_sorted(d, np.array([x]))[0])
 
 
 def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
     """CDF at an ascending array of points; one cumulative quadrature sweep
-    for the spectral laws instead of one integral per point."""
+    for the spectral laws instead of one integral per point.
+
+    The PT law is even, so F(y) = 1/2 + sgn(y) * int_0^|y| p: its sweep
+    runs from 0 over the distinct |y|, where the two eigenvalues +-mu_i mu_j
+    of a pure state share one gap, and F is exactly 0 and 1 at and beyond
+    -4 and 4.  The Marcenko-Pastur law is swept from 0 over the points
+    clipped to its support."""
     xs = np.asarray(xs, dtype=float)
     if d.kind in (GAUSS_WIDTH, RANK2):
         return np.array([cdf_eval(d, float(x)) for x in xs])
     lo, hi = d.support
-    clipped = np.clip(xs, lo, hi)
-    pdf = _pt_eigs_pdf if d.kind == PT_EIGS else _marcenko_pastur_pdf
-    return quadrature.cumulative(pdf, lo, clipped, singularities=d.singular_points)
+    if d.kind == MARCENKO_PASTUR:
+        clipped = np.clip(xs, lo, hi)
+        return quadrature.cumulative(_marcenko_pastur_pdf, lo, clipped, singularities=d.singular_points)
+    half, where = np.unique(np.minimum(np.abs(xs), hi), return_inverse=True)
+    out = 0.5 + np.sign(xs) * quadrature.cumulative(_pt_eigs_pdf, 0.0, half)[where]
+    out[xs <= lo] = 0.0
+    out[xs >= hi] = 1.0
+    return out
 
 
 def integral_over_support(d: AnalyticDensity) -> float:

@@ -172,7 +172,7 @@ def cmd_wdist(args: argparse.Namespace, workers: int, out: OutputTracker) -> Non
         out.csv(
             "wdist_analytic.csv",
             ["x", "density"],
-            [(float(x), analytic.density_eval(overlay, float(x))) for x in centers],
+            [(float(x), float(p)) for x, p in zip(centers, analytic.density_on_array(overlay, centers))],
         )
         summary["analytic_kind"] = overlay.kind
         summary["analytic_params"] = {"lam": overlay.lam, "k": overlay.k}
@@ -198,7 +198,7 @@ def cmd_ptspec(args: argparse.Namespace, workers: int, out: OutputTracker) -> No
         out.csv(
             "ptspec_overlay.csv",
             ["y", "density"],
-            [(float(y), analytic.density_eval(law, float(y))) for y in centers],
+            [(float(y), float(p)) for y, p in zip(centers, analytic.density_on_array(law, centers))],
         )
         summary["ks_vs_pt_law"] = ks_statistic(dist.samples, lambda xs: analytic.cdf_on_sorted(law, xs))
     if args.m >= dims.n_a:

@@ -4,10 +4,11 @@ probabilities, spectra, and parameter scans over mixture size and dimension.
 Reproducibility model
 ---------------------
 Work is split into fixed-size chunks of consecutive sample indices.  Chunk
-``i`` of a run draws from its own generator seeded with the entropy tuple
-``(seed, stream_tag, ..., i)``, and chunk results are reduced in index
-order, so results are bit-identical for any worker count.  Inside a chunk,
-batch sizes depend only on the configuration, never on the machine.
+``i`` of a run (state ``i``, for spectra) draws from its own generator
+seeded with the entropy tuple ``(seed, stream_tag, ..., i)``, and chunk
+results are reduced in index order, so results are bit-identical for any
+worker count.  Inside a chunk, batch sizes depend only on the
+configuration, never on the machine.
 
 Thread policy
 -------------
@@ -39,6 +40,8 @@ from .qstate import (
     mixture_pt_eigenvalues,
     partial_trace_b,
     sample_random_pure_batch,
+    schmidt_coefficients,
+    schmidt_pt_eigenvalues,
     von_neumann_entropy,
 )
 from .witness import (
@@ -336,6 +339,12 @@ def _map_ordered(fn, tasks, workers: int):
         return list(pool.map(fn, tasks))
 
 
+def _states_per_batch(dims: BipartiteDims) -> int:
+    """Pure states drawn and decomposed together: their 2 n_a n_b normals
+    each stay within the batch budget."""
+    return max(1, _MAX_BATCH_VARIATES // (2 * dims.total))
+
+
 def _mean_and_std_err(vals: np.ndarray) -> tuple[float, float]:
     n = len(vals)
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -350,6 +359,15 @@ def _w_chunk_task(task) -> np.ndarray:
 
     if spectrum is None:  # per-state optimal witness: w = dim * lambda_min
         dims = BipartiteDims(n_a, n_b)
+        if m == 1:
+            # lambda_min of a pure state is -mu_1 mu_2: one draw and one
+            # batched SVD per group of states
+            group = _states_per_batch(dims)
+            for start in range(0, count, group):
+                amps = sample_random_pure_batch(dims, min(group, count - start), rng)
+                mu = schmidt_coefficients(amps.reshape(-1, n_a, n_b))
+                out[start : start + len(mu)] = -dim * (mu[:, 0] * mu[:, 1])
+            return out
         for i in range(count):
             comps = sample_random_pure_batch(dims, m, rng)
             out[i] = dim * float(mixture_pt_eigenvalues(comps, dims).min())
@@ -521,11 +539,18 @@ def run_mixture_decay(
 
 
 def _pt_state_task(task) -> np.ndarray:
-    (seed, index, m, n_a, n_b, include_diagonal) = task
-    rng = _rng_for(seed, _STREAM_PT, index)
+    """PT eigenvalues of ``count`` consecutive states, state i drawn from the
+    stream (seed, _STREAM_PT, i), concatenated in state order; pure states
+    take one batched SVD."""
+    (seed, start, count, m, n_a, n_b, include_diagonal) = task
     dims = BipartiteDims(n_a, n_b)
-    comps = sample_random_pure_batch(dims, m, rng)
-    return mixture_pt_eigenvalues(comps, dims, include_diagonal)
+    states = [
+        sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_PT, i)) for i in range(start, start + count)
+    ]
+    if m == 1:
+        mu = schmidt_coefficients(np.concatenate(states).reshape(count, n_a, n_b))
+        return schmidt_pt_eigenvalues(mu, include_diagonal).ravel()
+    return np.concatenate([mixture_pt_eigenvalues(amps, dims, include_diagonal) for amps in states])
 
 
 def run_pt_spectrum(
@@ -544,12 +569,23 @@ def run_pt_spectrum(
     mu_i^2 are excluded by default since the off-diagonal law is what the
     histogram is compared against; for m > 1 the full matrix is solved and
     nothing is excluded.
+
+    State i always draws from the stream (seed, _STREAM_PT, i), so the
+    samples are the same bits for any worker count.  Pure states go to the
+    workers in chunks of ``_states_per_batch`` states (32 at 32 x 32) that
+    take one batched SVD, so a small ensemble is a single task and runs
+    in-process; a mixed state costs a dense eigensolve and is a task of
+    its own.
     """
     if m < 1:
         raise ValueError(f"mixture size must be >= 1, got {m}")
     if states < 1:
         raise ValueError(f"need at least one state, got {states}")
-    tasks = [(seed, i, m, dims.n_a, dims.n_b, include_diagonal) for i in range(states)]
+    per_task = _states_per_batch(dims) if m == 1 else 1
+    tasks = [
+        (seed, start, min(per_task, states - start), m, dims.n_a, dims.n_b, include_diagonal)
+        for start in range(0, states, per_task)
+    ]
     parts = _map_ordered(_pt_state_task, tasks, workers)
     y = dims.n_a * np.concatenate(parts)
     return empirical_from_samples(y, DEFAULT_Y_BINS)

@@ -227,8 +227,21 @@ def schmidt(state: PureState) -> SchmidtDecomposition:
 
 
 def schmidt_coefficients(amplitude_matrix: np.ndarray) -> np.ndarray:
-    """Singular values of an (n_a, n_b) amplitude matrix, nonincreasing."""
+    """Singular values of an (n_a, n_b) amplitude matrix, nonincreasing; of
+    each matrix of a (k, n_a, n_b) stack with one batched SVD, which gives
+    every matrix the bits it gets alone."""
     return np.linalg.svd(amplitude_matrix, compute_uv=False)
+
+
+def schmidt_pt_eigenvalues(mu: np.ndarray, include_diagonal: bool = True) -> np.ndarray:
+    """Partial-transpose spectrum of a pure state from its nonincreasing
+    Schmidt coefficients ``mu``: +-mu_i mu_j for i < j, then the n
+    "diagonal" values mu_i^2 unless excluded, in that (unsorted) order.  A
+    (k, n) stack of coefficients gives a (k, ...) stack of spectra."""
+    i, j = np.triu_indices(mu.shape[-1], k=1)
+    off = mu[..., i] * mu[..., j]
+    parts = [off, -off, mu**2] if include_diagonal else [off, -off]
+    return np.concatenate(parts, axis=-1)
 
 
 def _as_density(obj, dims: BipartiteDims | None) -> tuple[np.ndarray, BipartiteDims]:
@@ -337,16 +350,12 @@ def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims, include_diagon
     normalized rows of ``amps`` (an (m, n_a n_b) array).
 
     A single row is a pure state, whose spectrum follows from its Schmidt
-    coefficients alone: +-mu_i mu_j for i < j, then the n "diagonal" values
-    mu_i^2 unless excluded, in that (unsorted) order.  More rows take one
-    dense eigensolve of rho^T_B and come back ascending.
+    coefficients alone, in the order of ``schmidt_pt_eigenvalues``.  More
+    rows take one dense eigensolve of rho^T_B and come back ascending.
     """
-    m = len(amps)
-    if m == 1:
+    if len(amps) == 1:
         mu = schmidt_coefficients(amps[0].reshape(dims.n_a, dims.n_b))
-        off = np.outer(mu, mu)[np.triu_indices(len(mu), k=1)]
-        parts = [off, -off, mu**2] if include_diagonal else [off, -off]
-        return np.concatenate(parts)
+        return schmidt_pt_eigenvalues(mu, include_diagonal)
     return np.linalg.eigvalsh(partial_transpose_b(mixture_density(amps), dims))
 
 

@@ -11,6 +11,7 @@ from witness_lab.analytic import (
     cdf_eval,
     cdf_on_sorted,
     density_eval,
+    density_on_array,
     detection_probability,
     detection_probability_asymptotic,
     gauss_unit,
@@ -59,6 +60,13 @@ class TestDensities:
             left = density_eval(rank2(lam), -1e-9)
             right = density_eval(rank2(lam), 1e-9)
             assert abs(left - right) < 1e-6
+
+    @pytest.mark.parametrize("d", ALL_KINDS)
+    def test_array_density_equals_pointwise_bit_for_bit(self, d):
+        # the ptspec overlay is one array call; its CSV must keep the bits
+        # of one density_eval per bin centre
+        xs = np.concatenate([np.linspace(-4.5, 4.5, 91), [-4.0, 0.0, 4.0, 1e-300]])
+        assert density_on_array(d, xs).tolist() == [density_eval(d, float(x)) for x in xs]
 
     def test_pt_eigs_finite_at_zero_and_even(self):
         d = pt_eigs()

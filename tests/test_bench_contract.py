@@ -32,4 +32,6 @@ def _resolves(qual: str) -> bool:
 def test_every_traced_name_resolves_in_the_package():
     names = _traced_names()
     assert "ensemble._w_chunk_task" in names
+    # a traced run requires one traced task per mapped chunk of ptspec
+    assert "ensemble._pt_state_task" in names
     assert [qual for qual in names if not _resolves(qual)] == []

@@ -29,6 +29,15 @@ from witness_lab.witness import pt_quadratic_form_batch, witness_spectrum
 from conftest import rng
 
 
+def _pure_pt_reference(amps: np.ndarray, dims: BipartiteDims, include_diagonal: bool) -> np.ndarray:
+    """PT eigenvalues of one pure state as the Schmidt closed form was
+    written before it took stacks: one SVD, then +-mu_i mu_j (i < j) and
+    mu_i^2."""
+    mu = np.linalg.svd(amps.reshape(dims.n_a, dims.n_b), compute_uv=False)
+    off = np.outer(mu, mu)[np.triu_indices(len(mu), k=1)]
+    return np.concatenate([off, -off, mu**2] if include_diagonal else [off, -off])
+
+
 def _equal_dists(a: EmpiricalDistribution, b: EmpiricalDistribution) -> bool:
     return (
         np.array_equal(a.bin_edges, b.bin_edges)
@@ -189,6 +198,23 @@ class TestWEnsemble:
         res = optimal_witness(mix_random_states(dims, 2, rng(10)))
         assert -dims.total < dims.total * res.lambda_min < 0
 
+    @pytest.mark.parametrize("shape,samples", [((3, 5), 4100), ((5, 3), 4100), ((8, 8), 600), ((32, 32), 70)])
+    def test_optimal_pure_batches_equal_a_per_sample_loop(self, shape, samples):
+        # 3 x 5 draws in groups of 2184 states, so its first chunk of 4096
+        # holds two groups and the second chunk the last 4; 32 x 32 draws
+        # in groups of 32
+        dims = BipartiteDims(*shape)
+        spec = WitnessSpec("optimal_per_state")
+        cfg = EnsembleConfig(dims=dims, samples=samples, witness_spec=spec, seed=19, workers=2)
+        got = run_w_ensemble(cfg).samples
+        want = []
+        for chunk, start in enumerate(range(0, samples, ensemble.CHUNK_SAMPLES)):
+            gen = ensemble._rng_for(19, ensemble._STREAM_W, chunk)
+            for _ in range(min(ensemble.CHUNK_SAMPLES, samples - start)):
+                comps = sample_random_pure_batch(dims, 1, gen)
+                want.append(dims.total * float(_pure_pt_reference(comps[0], dims, True).min()))
+        assert np.array_equal(got, np.array(want))
+
     def test_cross_oracle_rank2_agreement(self):
         cfg = EnsembleConfig(
             dims=BipartiteDims(32, 32),
@@ -263,6 +289,44 @@ class TestPtSpectrum:
         frac_outside = np.mean(np.abs(dist.samples) > 4.5)
         assert frac_outside <= 1e-3
         assert dist.sample_count == 10 * 32 * 31
+
+    @pytest.mark.parametrize("include_diagonal", [False, True])
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (16, 16)])
+    def test_chunks_equal_a_per_state_loop(self, shape, include_diagonal):
+        # 300 states at 16 x 16 are three chunks (128, 128, 44)
+        dims = BipartiteDims(*shape)
+        dist = run_pt_spectrum(dims, m=1, states=300, seed=21, include_diagonal=include_diagonal)
+        want = np.concatenate(
+            [
+                _pure_pt_reference(
+                    sample_random_pure_batch(dims, 1, ensemble._rng_for(21, ensemble._STREAM_PT, i))[0],
+                    dims,
+                    include_diagonal,
+                )
+                for i in range(300)
+            ]
+        )
+        assert np.array_equal(dist.samples, dims.n_a * want)
+
+    def test_chunks_do_not_depend_on_the_worker_count(self):
+        dims = BipartiteDims(16, 16)
+        one = run_pt_spectrum(dims, m=1, states=300, seed=22, workers=1)
+        two = run_pt_spectrum(dims, m=1, states=300, seed=22, workers=2)
+        assert _equal_dists(one, two)
+
+    def test_pool_only_for_more_than_one_chunk(self, monkeypatch):
+        pools = []
+
+        class CountingPool(ensemble.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CountingPool)
+        run_pt_spectrum(BipartiteDims(32, 32), m=1, states=20, seed=23, workers=2)
+        assert pools == []  # one chunk of 20 states runs in-process
+        run_pt_spectrum(BipartiteDims(16, 16), m=1, states=300, seed=23, workers=2)
+        assert len(pools) == 1
 
     def test_diagonal_block_inclusion(self):
         dims = BipartiteDims(8, 8)

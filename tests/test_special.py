@@ -150,21 +150,65 @@ def _running_integrals(f, start, points, singularities):
 
 
 def test_pt_law_sweep_equals_per_gap_integrate_bit_for_bit():
+    # the law is even: F(y) = 1/2 + sgn(y) * (running integral from 0 over
+    # the sorted |y|), exactly 0 and 1 at and beyond -4 and 4
     d = analytic.pt_eigs()
     xs = np.sort(
         np.concatenate(
             [
                 np.random.default_rng(6).uniform(-3.9, 3.9, 300),
-                [-4.3, -4.0, -4.0, -1e-7, 0.7, 0.7, 0.7, 3.999999, 4.0, 4.0, 4.5],
+                [-4.3, -4.0, -4.0, -0.7, -1e-7, 0.0, 0.7, 0.7, 0.7, 3.999999, 4.0, 4.0, 4.5],
             ]
         )
     )
     got = analytic.cdf_on_sorted(d, xs)
-    want = _running_integrals(lambda t: analytic.density_eval(d, t), -4.0, np.clip(xs, -4.0, 4.0), [0.0])
+    half = np.minimum(np.abs(xs), 4.0)
+    sweep = np.sort(half)
+    running = _running_integrals(lambda t: analytic.density_eval(d, t), 0.0, sweep, [0.0])
+    want = 0.5 + np.sign(xs) * running[np.searchsorted(sweep, half)]
+    want[xs <= -4.0] = 0.0
+    want[xs >= 4.0] = 1.0
     assert np.array_equal(got, want)
-    assert got[0] == got[1] == got[2] == 0.0 and got[-1] == got[-2] == got[-3]
-    # one gap, from -1e-7 to 0.7, straddles the singular point
-    assert np.sum((xs[:-1] < 0.0) & (xs[1:] > 0.0)) == 1
+    assert got[0] == got[1] == got[2] == 0.0 and got[-1] == got[-2] == got[-3] == 1.0
+    assert got[xs == 0.0] == 0.5
+
+
+@pytest.mark.parametrize("y", [0.0, 1e-12, -1e-12, 1e-7, -1e-7, 3.999999, -3.999999, 4.0, -4.0, 4.5, -4.5])
+def test_pt_law_cdf_against_scipy_quad(y):
+    d = analytic.pt_eigs()
+    pdf = lambda t: analytic.density_eval(d, t)  # noqa: E731
+    if y <= -4.0:
+        want = 0.0
+    elif y >= 4.0:
+        want = 1.0
+    else:
+        # from -4, in pieces that put the log peak at y = 0 on an endpoint
+        cuts = [c for c in (-4.0, -1.0, -1e-3, 0.0, 1e-3, 1.0) if c < y] + [y]
+        pieces = [sp_integrate.quad(pdf, a, b, limit=200, epsabs=1e-14, epsrel=1e-14) for a, b in zip(cuts, cuts[1:])]
+        want = sum(val for val, _ in pieces)
+        assert sum(err for _, err in pieces) < 1e-12
+    xs = np.array([-5.0, y, 5.0])
+    assert abs(analytic.cdf_on_sorted(d, xs)[1] - want) <= 1e-9
+    assert abs(analytic.cdf_eval(d, y) - want) <= 1e-9
+
+
+def test_pt_law_pairs_share_a_gap(monkeypatch):
+    # a pure-state spectrum comes in +- pairs: the sweep over |y| evaluates
+    # the 15 nodes of each pair's one gap in its first call
+    pos = np.random.default_rng(8).uniform(0.01, 3.99, 400)
+    xs = np.sort(np.concatenate([pos, -pos]))
+    want = analytic.cdf_on_sorted(analytic.pt_eigs(), xs)
+    shapes = []
+    pdf = analytic._pt_eigs_pdf
+
+    def recording_pdf(y):
+        shapes.append(np.shape(y))
+        return pdf(y)
+
+    monkeypatch.setattr(analytic, "_pt_eigs_pdf", recording_pdf)
+    got = analytic.cdf_on_sorted(analytic.pt_eigs(), xs)
+    assert np.array_equal(got, want)
+    assert shapes[0] == (15, len(xs) // 2)
 
 
 def test_mp_law_goes_through_the_array_path(monkeypatch):
