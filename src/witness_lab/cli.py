@@ -338,12 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
         "lmin",
         help="mean minimal PT eigenvalue vs mixture size",
         description="Scan of the mean minimal eigenvalue of rho^T_B over dimensions N and "
-        "mixture sizes m; locates the sign change m* per N. CSV columns: N, m, "
-        "mean_lambda_min, std_err.",
+        "mixture sizes m; locates the sign change m* per N. Each repetition draws "
+        "max(m) states once, and its mixtures of every m are the first m of them. "
+        "CSV columns: N, m, mean_lambda_min, std_err.",
     )
     p.add_argument("--dims-list", nargs="+", required=True, help="subsystem dimensions N (space or comma separated)")
     p.add_argument("--m-list", nargs="+", required=True, help="mixture sizes m (space or comma separated)")
-    p.add_argument("--reps", type=int, default=10, help="states per (N, m) point")
+    p.add_argument("--reps", type=int, default=10, help="repetitions per N, each one mixture of every m")
     _add_common(p)
     p.set_defaults(func=cmd_lmin)
 

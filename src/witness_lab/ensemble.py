@@ -10,6 +10,13 @@ results are reduced in index order, so results are bit-identical for any
 worker count.  Inside a chunk, batch sizes depend only on the
 configuration, never on the machine.
 
+A lambda_min scan maps one task per (N, repetition) instead.  Repetition r
+at the i-th N draws max(m_list) Haar states from (seed, _STREAM_LMIN, i, r),
+and its value at each m is that of the mixture of the first m of them.  The
+rows of one N therefore share their draws (common random numbers), while
+each row is still the mean over independent repetitions, with the same law
+and standard error as rows drawn apart.
+
 Thread policy
 -------------
 Every task runs on one BLAS thread, in a pool worker and in-process alike,
@@ -36,9 +43,11 @@ import numpy as np
 from .qstate import (
     BipartiteDims,
     MixedState,
+    gram_density,
     mixture_density,
     mixture_pt_eigenvalues,
     partial_trace_b,
+    partial_transpose_b,
     sample_random_pure_batch,
     schmidt_coefficients,
     schmidt_pt_eigenvalues,
@@ -69,7 +78,7 @@ _SLOPE_FIT_MIN_M = 3
 _STREAM_WITNESS = 0  # (seed, tag)
 _STREAM_W = 1  # (seed, tag, chunk)
 _STREAM_PT = 2  # (seed, tag, state)
-_STREAM_LMIN = 3  # (seed, tag, point, rep)
+_STREAM_LMIN = 3  # (seed, tag, N index, rep): max(m_list) states for every m of one N
 _STREAM_DC = 4  # (seed, tag, point, rep)
 _STREAM_DECAY = 5  # (seed, tag, m, chunk)
 
@@ -591,14 +600,43 @@ def run_pt_spectrum(
     return empirical_from_samples(y, DEFAULT_Y_BINS)
 
 
-def _lmin_point_task(task) -> tuple[float, float]:
-    (seed, point_idx, n, m, reps) = task
+def _lmin_point_task(task) -> np.ndarray:
+    """lambda_min of rho^T_B for each m of the sorted ``m_list``, rho the
+    mixture of the first m of one draw of max(m_list) Haar states.  The
+    real Gram of the draw grows by the rows each m adds; a pure state takes
+    the Schmidt closed form."""
+    (seed, n_idx, n, m_list, rep) = task
     dims = BipartiteDims(n, n)
-    vals = np.empty(reps)
-    for rep in range(reps):
-        comps = sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_LMIN, point_idx, rep))
-        vals[rep] = mixture_pt_eigenvalues(comps, dims).min()
-    return _mean_and_std_err(vals)
+    amps = sample_random_pure_batch(dims, m_list[-1], _rng_for(seed, _STREAM_LMIN, n_idx, rep))
+    x = amps.view(np.float64)
+    gram = np.zeros((x.shape[1], x.shape[1]))
+    out = np.empty(len(m_list))
+    done = 0
+    for i, m in enumerate(m_list):
+        if m == 1:
+            out[i] = mixture_pt_eigenvalues(amps[:1], dims).min()
+            continue
+        block = x[done:m]
+        gram += block.T @ block
+        done = m
+        out[i] = np.linalg.eigvalsh(partial_transpose_b(gram_density(gram, m), dims))[0]
+    return out
+
+
+def _monotone_in_m(v: np.ndarray) -> bool:
+    """Whether the mean of row j of ``v`` (repetitions along axis 1) does not
+    fall from one row to the next by more than twice its standard error.
+    The rows share their draws, so a step's error is that of the
+    per-repetition differences."""
+    steps = np.diff(v, axis=0)
+    slack = 2.0 * steps.std(axis=1, ddof=1) / math.sqrt(v.shape[1])
+    return bool(np.all(steps.mean(axis=1) >= -slack))
+
+
+def _reject_repeats(name: str, values: list[int]) -> None:
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"{name} {repeated[0]} is repeated")
 
 
 def run_lambda_min_scan(
@@ -610,30 +648,36 @@ def run_lambda_min_scan(
 ) -> ScanResult:
     """Mean minimal eigenvalue of rho^T_B on a grid of symmetric dimensions
     N and mixture sizes m; locates the sign change m* per N by linear
-    interpolation between bracketing grid points."""
+    interpolation between bracketing grid points.
+
+    Repetition r at the i-th N draws max(m_list) Haar states from the
+    stream (seed, _STREAM_LMIN, i, r), and row m takes the mixture of the
+    first m of them.  Each row is the mean over independent repetitions;
+    the rows of one N share their draws."""
     if repetitions < 2:
         raise ValueError("need at least 2 repetitions for a standard error")
     n_list = [int(n) for n in n_list]
     m_list = sorted(int(m) for m in m_list)
-    points = [(n, m) for n in n_list for m in m_list]
-    tasks = [(seed, idx, n, m, repetitions) for idx, (n, m) in enumerate(points)]
+    if not n_list or not m_list:
+        raise ValueError("need at least one dimension N and one mixture size m")
+    if m_list[0] < 1:
+        raise ValueError(f"mixture size must be >= 1, got {m_list[0]}")
+    _reject_repeats("dimension N", n_list)
+    _reject_repeats("mixture size m", m_list)
+    tasks = [(seed, i, n, tuple(m_list), rep) for i, n in enumerate(n_list) for rep in range(repetitions)]
     results = _map_ordered(_lmin_point_task, tasks, workers)
-    rows = tuple(
-        ScanRow(n=n, m=m, value=mean, std_err=se)
-        for (n, m), (mean, se) in zip(points, results)
-    )
-    scan = ScanResult(kind="lambda_min", rows=rows, metadata={"repetitions": repetitions})
+    rows = []
     m_star = {}
     monotone = {}
-    for n in scan.n_values:
-        ms, vals, ses = scan.for_n(n)
-        m_star[n] = _interp_crossing(ms, vals, 0.0)
-        diffs = np.diff(vals)
-        slack = 2.0 * np.sqrt(ses[:-1] ** 2 + ses[1:] ** 2)
-        monotone[n] = bool(np.all(diffs >= -slack))
-    scan.metadata["m_star"] = m_star
-    scan.metadata["monotone_in_m"] = monotone
-    return scan
+    for i, n in enumerate(n_list):
+        # v[j, r]: lambda_min at m_list[j] in repetition r
+        v = np.stack(results[i * repetitions : (i + 1) * repetitions], axis=1)
+        stats = [_mean_and_std_err(row) for row in v]
+        rows += [ScanRow(n=n, m=m, value=mean, std_err=se) for m, (mean, se) in zip(m_list, stats)]
+        m_star[n] = _interp_crossing(np.array(m_list), np.array([mean for mean, _ in stats]), 0.0)
+        monotone[n] = _monotone_in_m(v)
+    meta = {"repetitions": repetitions, "m_star": m_star, "monotone_in_m": monotone}
+    return ScanResult(kind="lambda_min", rows=tuple(rows), metadata=meta)
 
 
 @dataclass(frozen=True)
@@ -749,6 +793,9 @@ def dense_coding_scan(
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     m_list = [int(m) for m in m_list]
+    bad = [m for m in m_list if m < 1]
+    if bad:
+        raise ValueError(f"mixture size must be >= 1, got {bad[0]}")
     tasks = [(seed, idx, dims.n_a, dims.n_b, m, repetitions) for idx, m in enumerate(m_list)]
     results = _map_ordered(_dc_point_task, tasks, workers)
     rows = tuple(ScanRow(n=dims.n_a, m=m, value=mean, std_err=se) for m, (mean, se) in zip(m_list, results))

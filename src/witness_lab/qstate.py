@@ -331,13 +331,19 @@ def mixture_density(amps: np.ndarray) -> np.ndarray:
 
     It is formed as x^T x over the real (m, 2d) view x of the amplitudes,
     which numpy runs as one symmetric rank-m update (BLAS syrk), half the
-    flops of the complex product: with s[i, p, j, q] = sum_k x[k, 2i + p]
-    x[k, 2j + q], Re rho = s[:, 0, :, 0] + s[:, 1, :, 1] and
-    Im rho = s[:, 1, :, 0] - s[:, 0, :, 1].
+    flops of the complex product; see ``gram_density``.
     """
-    m, d = amps.shape
     x = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
-    s = (x.T @ x).reshape(d, 2, d, 2)
+    return gram_density(x.T @ x, len(amps))
+
+
+def gram_density(gram: np.ndarray, m: int) -> np.ndarray:
+    """Density matrix of the uniform mixture of m states from the real
+    (2d, 2d) Gram x^T x of their (m, 2d) real amplitude view x: with
+    s[i, p, j, q] = sum_k x[k, 2i + p] x[k, 2j + q], Re rho = s[:, 0, :, 0]
+    + s[:, 1, :, 1] and Im rho = s[:, 1, :, 0] - s[:, 0, :, 1], over m."""
+    d = len(gram) // 2
+    s = gram.reshape(d, 2, d, 2)
     rho = np.empty((d, d), dtype=np.complex128)
     rho.real = s[:, 0, :, 0] + s[:, 1, :, 1]
     rho.imag = s[:, 1, :, 0] - s[:, 0, :, 1]

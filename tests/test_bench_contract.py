@@ -7,6 +7,8 @@ import importlib
 import sys
 from pathlib import Path
 
+from witness_lab import ensemble
+
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -35,3 +37,18 @@ def test_every_traced_name_resolves_in_the_package():
     # a traced run requires one traced task per mapped chunk of ptspec
     assert "ensemble._pt_state_task" in names
     assert [qual for qual in names if not _resolves(qual)] == []
+
+
+def test_lambda_min_scan_maps_the_traced_task(monkeypatch):
+    # a traced run requires one traced task per mapped chunk, so the scan
+    # must map the task function that the tracer wraps
+    mapped = []
+
+    def recording_map(fn, tasks, workers):
+        mapped.append(fn)
+        return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(ensemble, "_map_ordered", recording_map)
+    ensemble.run_lambda_min_scan([4], [1, 3], repetitions=2)
+    assert mapped == [ensemble._lmin_point_task]
+    assert "ensemble._lmin_point_task" in _traced_names()

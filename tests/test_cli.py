@@ -177,6 +177,21 @@ class TestScans:
         assert run_cli(args) == 0
         assert len((out / "lmin_scan.csv").read_text().splitlines()) == 5
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["lmin", "--dims-list", "4", "--m-list", "0,2"], "mixture size must be >= 1, got 0"),
+            (["densecoding", "--dims", "4", "4", "--m-list", "0,2"], "mixture size must be >= 1, got 0"),
+            (["lmin", "--dims-list", "4", "4", "--m-list", "2"], "dimension N 4 is repeated"),
+            (["lmin", "--dims-list", "4", "--m-list", "2,2"], "mixture size m 2 is repeated"),
+        ],
+    )
+    def test_bad_scan_grid_errors_and_leaves_no_outputs(self, tmp_path, capsys, args, message):
+        out = tmp_path / "bad"
+        assert run_cli(args + ["--reps", "3", "--workers", "1", "--out", out]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_decay_outputs(self, tmp_path):
         out = tmp_path / "dc"
         args = ["decay", "--dims", "8", "8", "--m-max", "4", "--samples", "2000", "--seed", "5", "--workers", "1", "--out", out]

@@ -23,7 +23,14 @@ from witness_lab.ensemble import (
     run_pt_spectrum,
     run_w_ensemble,
 )
-from witness_lab.qstate import BipartiteDims, MixedState, mix_random_states, sample_random_pure_batch
+from witness_lab.ensemble import _STREAM_LMIN, _monotone_in_m, _rng_for
+from witness_lab.qstate import (
+    BipartiteDims,
+    MixedState,
+    mix_random_states,
+    mixture_pt_eigenvalues,
+    sample_random_pure_batch,
+)
 from witness_lab.witness import pt_quadratic_form_batch, witness_spectrum
 
 from conftest import rng
@@ -166,9 +173,10 @@ class TestDeterminism:
         assert _equal_dists(a, b)
 
     def test_lambda_min_scan_worker_invariance(self):
-        a = run_lambda_min_scan([4, 8], [1, 2], repetitions=5, seed=3, workers=1)
-        b = run_lambda_min_scan([4, 8], [1, 2], repetitions=5, seed=3, workers=2)
+        a = run_lambda_min_scan([4, 8], [1, 3, 20, 70], repetitions=5, seed=3, workers=1)
+        b = run_lambda_min_scan([4, 8], [1, 3, 20, 70], repetitions=5, seed=3, workers=2)
         assert a.rows == b.rows
+        assert a.metadata == b.metadata
 
 
 class TestWEnsemble:
@@ -351,7 +359,82 @@ class TestPtSpectrum:
         assert abs(kurtosis_ratio(dist.samples) - 2.0) < 0.2
 
 
+def _lmin_values(seed: int, stream: tuple[int, ...], n: int, m: int) -> float:
+    """lambda_min of rho^T_B for a mixture of m Haar states drawn from the
+    stream ``(seed, _STREAM_LMIN, *stream)``."""
+    dims = BipartiteDims(n, n)
+    comps = sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_LMIN, *stream))
+    return float(mixture_pt_eigenvalues(comps, dims).min())
+
+
 class TestLambdaMinScan:
+    def test_rows_equal_a_per_prefix_loop(self):
+        n_list, m_list, reps, seed = [3, 4, 8], [1, 2, 10, 17, 70], 4, 11
+        scan = run_lambda_min_scan(n_list, m_list, repetitions=reps, seed=seed, workers=1)
+        rows = iter(scan.rows)
+        for i, n in enumerate(n_list):
+            for m in m_list:
+                # the first m states of a stream are the states of an m-draw
+                vals = np.array([_lmin_values(seed, (i, rep), n, m) for rep in range(reps)])
+                row = next(rows)
+                assert (row.n, row.m) == (n, m)
+                assert row.value == pytest.approx(vals.mean(), rel=0, abs=1e-12 / n**2)
+                se = vals.std(ddof=1) / math.sqrt(reps)
+                assert row.std_err == pytest.approx(se, rel=0, abs=1e-12 / n**2)
+
+    def test_single_m_scans_keep_their_streams(self):
+        # one m per N: the row of the i-th N is, bit for bit, the mean over
+        # repetitions of lambda_min of m states from (seed, LMIN, i, rep)
+        for n_list, m in (([8, 16], 1), ([4, 6], 5)):
+            scan = run_lambda_min_scan(n_list, [m], repetitions=6, seed=2, workers=1)
+            for i, (n, row) in enumerate(zip(n_list, scan.rows)):
+                vals = np.array([_lmin_values(2, (i, rep), n, m) for rep in range(6)])
+                assert (row.value, row.std_err) == (vals.mean(), vals.std(ddof=1) / math.sqrt(6))
+
+    def test_first_row_of_first_n_keeps_its_bits(self):
+        scan = run_lambda_min_scan([4, 8], [2, 7, 30], repetitions=5, seed=1, workers=1)
+        vals = np.array([_lmin_values(1, (0, rep), 4, 2) for rep in range(5)])
+        assert scan.rows[0].value == vals.mean()
+
+    def test_each_repetition_draws_max_m_states_once(self, monkeypatch):
+        drawn = []
+        real = ensemble.sample_random_pure_batch
+
+        def counting(dims, n, rng):
+            drawn.append((dims.n_a, n))
+            return real(dims, n, rng)
+
+        monkeypatch.setattr(ensemble, "sample_random_pure_batch", counting)
+        run_lambda_min_scan([4, 6], [40, 1, 9], repetitions=3, seed=0, workers=1)
+        assert drawn == [(4, 40)] * 3 + [(6, 40)] * 3
+
+    @pytest.mark.parametrize(
+        "n_list, m_list, message",
+        [
+            ([4], [0, 2], "mixture size must be >= 1, got 0"),
+            ([4], [2, -3], "mixture size must be >= 1, got -3"),
+            ([4, 4], [2], "dimension N 4 is repeated"),
+            ([4], [2, 5, 2], "mixture size m 2 is repeated"),
+            ([4], [], "need at least one dimension N and one mixture size m"),
+        ],
+    )
+    def test_rejects_bad_grids(self, n_list, m_list, message):
+        with pytest.raises(ValueError, match=message):
+            run_lambda_min_scan(n_list, m_list, repetitions=2)
+
+    def test_monotone_from_paired_differences(self):
+        # rows that share a large per-repetition term: a dip of 0.01 sits far
+        # inside the independent-rows slack 2 sqrt(se_0^2 + se_1^2) ~ 0.4 but
+        # far outside the paired slack 2 std(diff) / sqrt(reps) ~ 4e-4
+        g = np.random.default_rng(0)
+        shared = g.standard_normal(30)
+        dip = np.stack([shared, shared - 0.01 + 1e-3 * g.standard_normal(30)])
+        steps = dip[1] - dip[0]
+        assert -steps.mean() > 10 * 2 * steps.std(ddof=1) / math.sqrt(30)
+        assert not _monotone_in_m(dip)
+        assert _monotone_in_m(dip[::-1])
+        assert _monotone_in_m(np.stack([shared, shared + 1e-3 * g.standard_normal(30)]))
+
     def test_pure_state_values_and_m_star_bracket(self):
         scan = run_lambda_min_scan([8], [1, 2], repetitions=40, seed=17, workers=2)
         ms, vals, ses = scan.for_n(8)
@@ -510,6 +593,10 @@ class TestDenseCoding:
         res = dense_coding_usable(st)
         assert not res.usable
         assert res.margin_bits == pytest.approx(-math.log2(8), abs=1e-9)
+
+    def test_rejects_m_below_one(self):
+        with pytest.raises(ValueError, match="mixture size must be >= 1, got 0"):
+            dense_coding_scan(BipartiteDims(4, 4), [0, 2], repetitions=1)
 
     def test_margin_crosses_zero_near_m_equals_n(self):
         dims = BipartiteDims(16, 16)
