@@ -17,6 +17,10 @@ rows of one N therefore share their draws (common random numbers), while
 each row is still the mean over independent repetitions, with the same law
 and standard error as rows drawn apart.
 
+A decay scan maps one run of pure-state w values, chunked as above on
+(seed, _STREAM_DECAY, chunk), and point m averages its first n_m * m in
+groups of m: the points share their draws, each with the law it had alone.
+
 Thread policy
 -------------
 Every task runs on one BLAS thread, in a pool worker and in-process alike,
@@ -80,7 +84,7 @@ _STREAM_W = 1  # (seed, tag, chunk)
 _STREAM_PT = 2  # (seed, tag, state)
 _STREAM_LMIN = 3  # (seed, tag, N index, rep): max(m_list) states for every m of one N
 _STREAM_DC = 4  # (seed, tag, point, rep)
-_STREAM_DECAY = 5  # (seed, tag, m, chunk)
+_STREAM_DECAY = 5  # (seed, tag, chunk): pure-state w shared by every m of a scan
 
 DEFAULT_W_BINS = np.linspace(-4.0, 6.0, 81)
 DEFAULT_Y_BINS = np.linspace(-4.5, 4.5, 91)
@@ -506,30 +510,24 @@ def run_mixture_decay(
     one fixed witness, with a log-slope fit over the asymptotic points
     m >= ``_SLOPE_FIT_MIN_M``.
 
-    Point m takes samples_base * min(m, 8) samples so that the shrinking
-    tail keeps enough hits per point.
+    Point m takes n_m = samples_base * min(m, 8) samples so that the
+    shrinking tail keeps enough hits per point; a mixture's w is the mean
+    of m consecutive values of one run of pure-state w that all points share.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    base_cfg = EnsembleConfig(dims=dims, samples=1, witness_spec=witness_spec, seed=seed)
-    witness = derive_witness(base_cfg)
+    if samples_base < 1:
+        raise ValueError(f"samples_base must be >= 1, got {samples_base}")
+    witness = derive_witness(EnsembleConfig(dims=dims, samples=1, witness_spec=witness_spec, seed=seed))
     if witness is None:
         raise ValueError("mixture decay needs a fixed witness, not optimal_per_state")
 
-    spectrum = witness_spectrum(witness)
     sizes = {m: samples_base * min(m, 8) for m in range(1, m_max + 1)}
-    tasks = [
-        task
-        for m, n_samp in sizes.items()
-        for task in _w_tasks(dims, n_samp, m, spectrum, (seed, _STREAM_DECAY, m))
-    ]
-    # one map over the chunks of every point, largest (samples x m) first so
-    # that no worker is left alone with a big chunk at the end
-    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][2] * tasks[i][3])
-    results = dict(zip(order, _map_ordered(_w_chunk_task, [tasks[i] for i in order], workers)))
+    spectrum = witness_spectrum(witness)
+    pure = _w_samples(dims, max(m * n for m, n in sizes.items()), 1, spectrum, (seed, _STREAM_DECAY), workers)
     rows = []
     for m, n_samp in sizes.items():
-        w = np.concatenate([results[i] for i, task in enumerate(tasks) if task[3] == m])
+        w = pure[: n_samp * m].reshape(n_samp, m).mean(axis=1)
         p = float(np.count_nonzero(w < 0)) / n_samp
         se = math.sqrt(p * (1.0 - p) / n_samp)
         rows.append(ScanRow(n=dims.n_a, m=m, value=p, std_err=se))
@@ -796,6 +794,7 @@ def dense_coding_scan(
     bad = [m for m in m_list if m < 1]
     if bad:
         raise ValueError(f"mixture size must be >= 1, got {bad[0]}")
+    _reject_repeats("mixture size m", m_list)
     tasks = [(seed, idx, dims.n_a, dims.n_b, m, repetitions) for idx, m in enumerate(m_list)]
     results = _map_ordered(_dc_point_task, tasks, workers)
     rows = tuple(ScanRow(n=dims.n_a, m=m, value=mean, std_err=se) for m, (mean, se) in zip(m_list, results))

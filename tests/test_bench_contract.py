@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from witness_lab import ensemble
+from witness_lab.qstate import BipartiteDims
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -52,3 +53,18 @@ def test_lambda_min_scan_maps_the_traced_task(monkeypatch):
     ensemble.run_lambda_min_scan([4], [1, 3], repetitions=2)
     assert mapped == [ensemble._lmin_point_task]
     assert "ensemble._lmin_point_task" in _traced_names()
+
+
+def test_mixture_decay_maps_only_the_traced_chunk_task(monkeypatch):
+    # one map over the chunks of the pure-state run: each chunk must be a
+    # call of the task function that the tracer wraps
+    mapped = []
+
+    def recording_map(fn, tasks, workers):
+        mapped.append((fn, len(tasks)))
+        return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(ensemble, "_map_ordered", recording_map)
+    # base 1000, m_max 3: 1000 * 3 * 3 = 9000 pure samples in 3 chunks
+    ensemble.run_mixture_decay(BipartiteDims(4, 4), 3, 1000)
+    assert mapped == [(ensemble._w_chunk_task, 3)]

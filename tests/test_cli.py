@@ -184,6 +184,7 @@ class TestScans:
             (["densecoding", "--dims", "4", "4", "--m-list", "0,2"], "mixture size must be >= 1, got 0"),
             (["lmin", "--dims-list", "4", "4", "--m-list", "2"], "dimension N 4 is repeated"),
             (["lmin", "--dims-list", "4", "--m-list", "2,2"], "mixture size m 2 is repeated"),
+            (["densecoding", "--dims", "4", "4", "--m-list", "2,2"], "mixture size m 2 is repeated"),
         ],
     )
     def test_bad_scan_grid_errors_and_leaves_no_outputs(self, tmp_path, capsys, args, message):

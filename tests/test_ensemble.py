@@ -158,13 +158,14 @@ class TestDeterminism:
     def test_decay_and_wdist_streams_differ(self):
         from witness_lab.ensemble import _STREAM_DECAY, _STREAM_W, _rng_for
 
-        # SeedSequence zero-pads its entropy, which is why a decay point
-        # (seed, tag, m, chunk) must not share the wdist tag (seed, tag, chunk)
+        # SeedSequence zero-pads its entropy, which is why every tag keeps one
+        # entropy length; decay chunks (seed, tag, chunk) must not repeat the
+        # wdist chunks (seed, tag, chunk)
         assert np.array_equal(_rng_for(7, 1, 2).random(4), _rng_for(7, 1, 2, 0).random(4))
         for c in range(4):
             wdist_chunk = _rng_for(7, _STREAM_W, c).random(4)
-            decay_point = _rng_for(7, _STREAM_DECAY, c, 0).random(4)
-            assert not np.array_equal(wdist_chunk, decay_point)
+            decay_chunk = _rng_for(7, _STREAM_DECAY, c).random(4)
+            assert not np.array_equal(wdist_chunk, decay_chunk)
 
     def test_pt_spectrum_worker_invariance(self):
         dims = BipartiteDims(8, 8)
@@ -519,20 +520,27 @@ class TestMixtureDecay:
         with pytest.raises(ValueError):
             run_mixture_decay(BipartiteDims(4, 4), 2, 100, witness_spec=WitnessSpec("optimal_per_state"))
 
-    # base 3000 at 8 x 8: the points m = 1..4 hold 1, 2, 3 and 3 chunks
+    def test_rejects_samples_base_below_one(self):
+        with pytest.raises(ValueError, match="samples_base must be >= 1, got 0"):
+            run_mixture_decay(BipartiteDims(4, 4), 2, 0)
+
+    # base 3000 at 8 x 8, m_max 4: the pool holds 3000 * 4 * 4 = 48,000 pure
+    # samples, 12 chunks
     DIMS, M_MAX, BASE, SEED = BipartiteDims(8, 8), 4, 3000, 25
 
-    def _scan(self, workers):
-        return run_mixture_decay(self.DIMS, self.M_MAX, self.BASE, seed=self.SEED, workers=workers)
+    def _scan(self, workers, m_max=M_MAX):
+        return run_mixture_decay(self.DIMS, m_max, self.BASE, seed=self.SEED, workers=workers)
 
-    def test_one_map_equals_a_map_per_point(self):
+    def test_points_average_one_run_of_pure_samples(self):
         witness = derive_witness(EnsembleConfig(dims=self.DIMS, samples=1, seed=self.SEED))
         spectrum = witness_spectrum(witness)
+        pure = ensemble._w_samples(
+            self.DIMS, self.BASE * self.M_MAX**2, 1, spectrum, (self.SEED, ensemble._STREAM_DECAY), 1
+        )
         want = []
         for m in range(1, self.M_MAX + 1):
             n = self.BASE * m
-            entropy = (self.SEED, ensemble._STREAM_DECAY, m)
-            w = ensemble._w_samples(self.DIMS, n, m, spectrum, entropy, 1)
+            w = pure[: n * m].reshape(n, m).mean(axis=1)
             p = float(np.count_nonzero(w < 0)) / n
             want.append(ensemble.ScanRow(n=8, m=m, value=p, std_err=math.sqrt(p * (1.0 - p) / n)))
         ms = np.array([r.m for r in want[2:]], dtype=float)
@@ -557,26 +565,11 @@ class TestMixtureDecay:
         assert one.rows == two.rows
         assert one.metadata == two.metadata
 
-    def test_one_pool_largest_chunks_first(self, monkeypatch):
-        pools, maps = [], []
-
-        class CountingPool(ensemble.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
-
-        real_map = ensemble._map_ordered
-
-        def recording_map(fn, tasks, workers):
-            maps.append([count * m for _, _, count, m, *_ in tasks])
-            return real_map(fn, tasks, workers)
-
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(ensemble, "_map_ordered", recording_map)
-        self._scan(2)
-        assert len(pools) == 1
-        assert len(maps) == 1 and len(maps[0]) == 9
-        assert maps[0] == sorted(maps[0], reverse=True)
+    def test_longer_scan_keeps_the_rows_of_a_shorter_one(self):
+        # the random witness has no zero eigenvalue, so the shorter pool is a
+        # prefix of the longer one bit for bit
+        shorter, longer = self._scan(1, m_max=3), self._scan(1, m_max=4)
+        assert longer.rows[:3] == shorter.rows
 
 
 class TestDenseCoding:
@@ -597,6 +590,10 @@ class TestDenseCoding:
     def test_rejects_m_below_one(self):
         with pytest.raises(ValueError, match="mixture size must be >= 1, got 0"):
             dense_coding_scan(BipartiteDims(4, 4), [0, 2], repetitions=1)
+
+    def test_rejects_repeated_m(self):
+        with pytest.raises(ValueError, match="mixture size m 2 is repeated"):
+            dense_coding_scan(BipartiteDims(4, 4), [2, 3, 2], repetitions=1)
 
     def test_margin_crosses_zero_near_m_equals_n(self):
         dims = BipartiteDims(16, 16)
