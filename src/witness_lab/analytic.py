@@ -7,6 +7,10 @@ version for rank-k witnesses and m-fold mixtures, the two-branch exponential
 mixture for Schmidt-rank-2 witnesses, the elliptic-integral law for scaled
 partial-transpose eigenvalues y = N*lambda on [-4, 4], and the
 Marcenko-Pastur law for scaled reduced-density eigenvalues tau = N*mu^2.
+
+Each law has one array pdf and one array cdf (``density_on_array``,
+``cdf_on_sorted``); ``density_eval`` and ``cdf_eval`` are their one-point
+cases.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from . import quadrature
 from .special import _agm_ke, erfc
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_erfc = np.frompyfunc(erfc, 1, 1)  # elementwise, with the bits of math.erfc
 # lambda with |1 - 2 lambda| below this is evaluated with the lambda = 1/2
 # limit: the generic branch keeps a 0/0 cancellation of order eps/delta^2 in
 # delta = 1 - 2 lambda, and the limit is off by order delta^2; both are
@@ -104,12 +109,6 @@ def marcenko_pastur() -> AnalyticDensity:
     return AnalyticDensity(MARCENKO_PASTUR)
 
 
-def _rank2_half_pdf(w: float) -> float:
-    if w < 0.0:
-        return math.exp(2.0 * w) / 4.0
-    return (1.0 + 4.0 * w + 8.0 * w * w) * math.exp(-2.0 * w) / 4.0
-
-
 def _four_s_minus_two(lam: float, s: float) -> float:
     """4s - 2 for s = sqrt(lam (1 - lam)), without cancellation: with
     delta = 1 - 2 lam, 2s = sqrt(1 - delta^2), so 4s - 2 equals
@@ -117,14 +116,30 @@ def _four_s_minus_two(lam: float, s: float) -> float:
     return -2.0 * (1.0 - 2.0 * lam) ** 2 / (1.0 + 2.0 * s)
 
 
-def _rank2_pdf(lam: float, w: float) -> float:
+def _rank2_pdf(lam: float, w: np.ndarray) -> np.ndarray:
+    # each branch sees only its own side of 0, so the unused one cannot overflow
+    neg, pos = np.minimum(w, 0.0), np.maximum(w, 0.0)
     if abs(1.0 - 2.0 * lam) < _RANK2_HALF_EPS:
-        return _rank2_half_pdf(w)
+        right = (1.0 + 4.0 * pos + 8.0 * pos * pos) * np.exp(-2.0 * pos) / 4.0
+        return np.where(w < 0.0, np.exp(2.0 * neg) / 4.0, right)
     s = math.sqrt(lam * (1.0 - lam))
-    if w < 0.0:
-        return math.exp(w / s) / (4.0 * s + 2.0)
-    a = (lam * math.exp(-w / lam) + (1.0 - lam) * math.exp(-w / (1.0 - lam))) / (1.0 - 2.0 * lam) ** 2
-    return a + math.exp(-w / s) / _four_s_minus_two(lam, s)
+    right = (lam * np.exp(-pos / lam) + (1.0 - lam) * np.exp(-pos / (1.0 - lam))) / (1.0 - 2.0 * lam) ** 2
+    right += np.exp(-pos / s) / _four_s_minus_two(lam, s)
+    return np.where(w < 0.0, np.exp(neg / s) / (4.0 * s + 2.0), right)
+
+
+def _rank2_cdf(lam: float, w: np.ndarray) -> np.ndarray:
+    neg, pos = np.minimum(w, 0.0), np.maximum(w, 0.0)
+    if abs(1.0 - 2.0 * lam) < _RANK2_HALF_EPS:
+        right = 1.0 - np.exp(-2.0 * pos) * (8.0 * pos * pos + 12.0 * pos + 7.0) / 8.0
+        return np.where(w < 0.0, np.exp(2.0 * neg) / 8.0, right)
+    s = math.sqrt(lam * (1.0 - lam))
+    neg_mass = s / (4.0 * s + 2.0)
+    right = (
+        lam**2 * (1.0 - np.exp(-pos / lam)) + (1.0 - lam) ** 2 * (1.0 - np.exp(-pos / (1.0 - lam)))
+    ) / (1.0 - 2.0 * lam) ** 2
+    right += s / _four_s_minus_two(lam, s) * (1.0 - np.exp(-pos / s))
+    return np.where(w < 0.0, neg_mass * np.exp(neg / s), neg_mass + right)
 
 
 def _pt_eigs_pdf(y):
@@ -148,66 +163,30 @@ def _marcenko_pastur_pdf(tau):
     return np.where(inside, np.sqrt(t * (4.0 - t)) / (2.0 * math.pi * t), 0.0)
 
 
-def density_eval(d: AnalyticDensity, x: float) -> float:
-    """Pointwise density value; zero outside the support."""
-    x = float(x)
-    if d.kind == GAUSS_WIDTH:
-        return math.sqrt(d.k) / _SQRT_2PI * math.exp(-0.5 * d.k * (x - 1.0) ** 2)
-    if d.kind == RANK2:
-        return _rank2_pdf(d.lam, x)
-    if d.kind == PT_EIGS:
-        return float(_pt_eigs_pdf(x))
-    return float(_marcenko_pastur_pdf(x))
-
-
 def density_on_array(d: AnalyticDensity, xs) -> np.ndarray:
-    """Density at an array of points: one elementwise call for the spectral
-    laws, which gives each point the bits ``density_eval`` gives it alone."""
+    """Density at an array of points, elementwise, so each point gets the
+    bits it gets alone; zero outside the support.  Far tails underflow to 0
+    without a floating-point warning."""
     xs = np.asarray(xs, dtype=float)
     if d.kind == PT_EIGS:
         return _pt_eigs_pdf(xs)
     if d.kind == MARCENKO_PASTUR:
         return _marcenko_pastur_pdf(xs)
-    return np.array([density_eval(d, float(x)) for x in xs])
+    with np.errstate(under="ignore"):
+        if d.kind == GAUSS_WIDTH:
+            return math.sqrt(d.k) / _SQRT_2PI * np.exp(-0.5 * d.k * (xs - 1.0) ** 2)
+        return _rank2_pdf(d.lam, xs)
 
 
-def _rank2_cdf(lam: float, w: float) -> float:
-    if abs(1.0 - 2.0 * lam) < _RANK2_HALF_EPS:
-        if w < 0.0:
-            return math.exp(2.0 * w) / 8.0
-        return 1.0 - math.exp(-2.0 * w) * (8.0 * w * w + 12.0 * w + 7.0) / 8.0
-    s = math.sqrt(lam * (1.0 - lam))
-    neg_mass = s / (4.0 * s + 2.0)
-    if w < 0.0:
-        return neg_mass * math.exp(w / s)
-    pos = (
-        lam**2 * (1.0 - math.exp(-w / lam)) + (1.0 - lam) ** 2 * (1.0 - math.exp(-w / (1.0 - lam)))
-    ) / (1.0 - 2.0 * lam) ** 2
-    pos += s / _four_s_minus_two(lam, s) * (1.0 - math.exp(-w / s))
-    return neg_mass + pos
-
-
-def cdf_eval(d: AnalyticDensity, x: float) -> float:
-    """Cumulative distribution; closed form where available, adaptive
-    quadrature for the compactly supported spectral laws (the bits of
-    ``cdf_on_sorted`` at the one point), exactly 0 and 1 at and beyond the
-    support's edges."""
-    x = float(x)
-    if d.kind == GAUSS_WIDTH:
-        return 0.5 * erfc((1.0 - x) * math.sqrt(d.k / 2.0))
-    if d.kind == RANK2:
-        return _rank2_cdf(d.lam, x)
-    lo, hi = d.support
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
-    return float(cdf_on_sorted(d, np.array([x]))[0])
+def density_eval(d: AnalyticDensity, x: float) -> float:
+    """Density at one point: the one-point case of ``density_on_array``."""
+    return float(density_on_array(d, [x])[0])
 
 
 def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
-    """CDF at an ascending array of points; one cumulative quadrature sweep
-    for the spectral laws instead of one integral per point.
+    """CDF at an ascending array of points: the Gaussian and rank-2 closed
+    forms elementwise, and one cumulative quadrature sweep for the spectral
+    laws instead of one integral per point.
 
     The PT law is even, so F(y) = 1/2 + sgn(y) * int_0^|y| p: its sweep
     runs from 0 over the distinct |y|, where the two eigenvalues +-mu_i mu_j
@@ -215,8 +194,11 @@ def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
     -4 and 4.  The Marcenko-Pastur law is swept from 0 over the points
     clipped to its support."""
     xs = np.asarray(xs, dtype=float)
-    if d.kind in (GAUSS_WIDTH, RANK2):
-        return np.array([cdf_eval(d, float(x)) for x in xs])
+    with np.errstate(under="ignore"):
+        if d.kind == GAUSS_WIDTH:
+            return 0.5 * _erfc((1.0 - xs) * math.sqrt(d.k / 2.0)).astype(float)
+        if d.kind == RANK2:
+            return _rank2_cdf(d.lam, xs)
     lo, hi = d.support
     if d.kind == MARCENKO_PASTUR:
         clipped = np.clip(xs, lo, hi)
@@ -226,6 +208,17 @@ def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
     out[xs <= lo] = 0.0
     out[xs >= hi] = 1.0
     return out
+
+
+def cdf_eval(d: AnalyticDensity, x: float) -> float:
+    """CDF at one point: the one-point case of ``cdf_on_sorted``, exactly 0
+    and 1 at and beyond the edges of a spectral law's support."""
+    lo, hi = d.support
+    if x <= lo:
+        return 0.0
+    if x >= hi:
+        return 1.0
+    return float(cdf_on_sorted(d, np.array([x], dtype=float))[0])
 
 
 def integral_over_support(d: AnalyticDensity) -> float:

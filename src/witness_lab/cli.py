@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__, analytic
 from .ensemble import (
     BLAS_THREADS_PER_TASK,
-    DEFAULT_W_BINS,
     EnsembleConfig,
     WitnessSpec,
     dense_coding_scan,
@@ -151,6 +150,15 @@ def _overlay_density(spec: WitnessSpec, m: int, sigma_sq: float | None):
     return analytic.gauss_width(m / sigma_sq)
 
 
+def _write_overlay(out: OutputTracker, name: str, column: str, law, dist) -> float:
+    """Write ``law``'s density at the histogram's bin centres to ``name`` and
+    return the KS distance of the samples from ``law``."""
+    centers = (dist.bin_edges[:-1] + dist.bin_edges[1:]) / 2
+    rows = [(float(x), float(p)) for x, p in zip(centers, analytic.density_on_array(law, centers))]
+    out.csv(name, [column, "density"], rows)
+    return ks_statistic(dist.samples, lambda xs: analytic.cdf_on_sorted(law, xs))
+
+
 def cmd_wdist(args: argparse.Namespace, workers: int, out: OutputTracker) -> None:
     dims = BipartiteDims(*args.dims)
     spec = WitnessSpec.parse(args.witness)
@@ -168,16 +176,11 @@ def cmd_wdist(args: argparse.Namespace, workers: int, out: OutputTracker) -> Non
     summary["m"] = args.m
     overlay = _overlay_density(spec, args.m, witness.sigma_sq if witness else None)
     if overlay is not None:
-        centers = (DEFAULT_W_BINS[:-1] + DEFAULT_W_BINS[1:]) / 2
-        out.csv(
-            "wdist_analytic.csv",
-            ["x", "density"],
-            [(float(x), float(p)) for x, p in zip(centers, analytic.density_on_array(overlay, centers))],
-        )
+        ks = _write_overlay(out, "wdist_analytic.csv", "x", overlay, dist)
         summary["analytic_kind"] = overlay.kind
         summary["analytic_params"] = {"lam": overlay.lam, "k": overlay.k}
         summary["analytic_neg_tail"] = analytic.detection_probability(overlay)
-        summary["ks_vs_analytic"] = ks_statistic(dist.samples, lambda xs: analytic.cdf_on_sorted(overlay, xs))
+        summary["ks_vs_analytic"] = ks
     out.json("wdist_summary.json", summary)
 
 
@@ -193,14 +196,7 @@ def cmd_ptspec(args: argparse.Namespace, workers: int, out: OutputTracker) -> No
     summary["states"] = args.states
     summary["kurtosis_ratio"] = kurtosis_ratio(dist.samples)
     if args.m == 1:
-        law = analytic.pt_eigs()
-        centers = (dist.bin_edges[:-1] + dist.bin_edges[1:]) / 2
-        out.csv(
-            "ptspec_overlay.csv",
-            ["y", "density"],
-            [(float(y), float(p)) for y, p in zip(centers, analytic.density_on_array(law, centers))],
-        )
-        summary["ks_vs_pt_law"] = ks_statistic(dist.samples, lambda xs: analytic.cdf_on_sorted(law, xs))
+        summary["ks_vs_pt_law"] = _write_overlay(out, "ptspec_overlay.csv", "y", analytic.pt_eigs(), dist)
     if args.m >= dims.n_a:
         # near the maximally mixed regime the natural variable is N^2 lambda
         scaled = dims.n_a * dist.samples

@@ -48,13 +48,11 @@ from .qstate import (
     BipartiteDims,
     MixedState,
     gram_density,
-    mixture_density,
+    mix_random_states,
     mixture_pt_eigenvalues,
     partial_trace_b,
     partial_transpose_b,
     sample_random_pure_batch,
-    schmidt_coefficients,
-    schmidt_pt_eigenvalues,
     von_neumann_entropy,
 )
 from .witness import (
@@ -371,19 +369,13 @@ def _w_chunk_task(task) -> np.ndarray:
     out = np.empty(count)
 
     if spectrum is None:  # per-state optimal witness: w = dim * lambda_min
+        # g mixtures of m states per draw, their spectra in one call
         dims = BipartiteDims(n_a, n_b)
-        if m == 1:
-            # lambda_min of a pure state is -mu_1 mu_2: one draw and one
-            # batched SVD per group of states
-            group = _states_per_batch(dims)
-            for start in range(0, count, group):
-                amps = sample_random_pure_batch(dims, min(group, count - start), rng)
-                mu = schmidt_coefficients(amps.reshape(-1, n_a, n_b))
-                out[start : start + len(mu)] = -dim * (mu[:, 0] * mu[:, 1])
-            return out
-        for i in range(count):
-            comps = sample_random_pure_batch(dims, m, rng)
-            out[i] = dim * float(mixture_pt_eigenvalues(comps, dims).min())
+        group = max(1, _states_per_batch(dims) // m)
+        for start in range(0, count, group):
+            g = min(group, count - start)
+            amps = sample_random_pure_batch(dims, g * m, rng).reshape(g, m, dim)
+            out[start : start + g] = dim * mixture_pt_eigenvalues(amps, dims).min(axis=-1)
         return out
 
     # Haar invariance: <psi|W|psi> = sum_k lam_k E_k / sum_k E_k exactly, with
@@ -547,17 +539,14 @@ def run_mixture_decay(
 
 def _pt_state_task(task) -> np.ndarray:
     """PT eigenvalues of ``count`` consecutive states, state i drawn from the
-    stream (seed, _STREAM_PT, i), concatenated in state order; pure states
-    take one batched SVD."""
+    stream (seed, _STREAM_PT, i), concatenated in state order; one
+    ``mixture_pt_eigenvalues`` call on their stack."""
     (seed, start, count, m, n_a, n_b, include_diagonal) = task
     dims = BipartiteDims(n_a, n_b)
-    states = [
-        sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_PT, i)) for i in range(start, start + count)
-    ]
-    if m == 1:
-        mu = schmidt_coefficients(np.concatenate(states).reshape(count, n_a, n_b))
-        return schmidt_pt_eigenvalues(mu, include_diagonal).ravel()
-    return np.concatenate([mixture_pt_eigenvalues(amps, dims, include_diagonal) for amps in states])
+    amps = np.stack(
+        [sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_PT, i)) for i in range(start, start + count)]
+    )
+    return mixture_pt_eigenvalues(amps, dims, include_diagonal).ravel()
 
 
 def run_pt_spectrum(
@@ -770,11 +759,8 @@ def _dc_point_task(task) -> tuple[float, float]:
     dims = BipartiteDims(n_a, n_b)
     vals = np.empty(reps)
     for rep in range(reps):
-        comps = sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_DC, point_idx, rep))
-        rho = mixture_density(comps)
-        mats = comps.reshape(m, n_a, n_b)
-        rho_a = np.einsum("kab,kcb->ac", mats, mats.conj()) / m
-        vals[rep] = von_neumann_entropy(rho_a) - von_neumann_entropy(rho)
+        state = mix_random_states(dims, m, _rng_for(seed, _STREAM_DC, point_idx, rep))
+        vals[rep] = dense_coding_usable(state).margin_bits
     return _mean_and_std_err(vals)
 
 

@@ -260,11 +260,8 @@ def partial_trace_b(obj, dims: BipartiteDims | None = None) -> np.ndarray:
         a = obj.matrix
         return a @ a.conj().T
     if isinstance(obj, MixedState) and obj.components is not None:
-        acc = np.zeros((obj.dims.n_a, obj.dims.n_a), dtype=np.complex128)
-        for st in obj.components:
-            a = st.matrix
-            acc += a @ a.conj().T
-        return acc / len(obj.components)
+        mats = np.stack([st.matrix for st in obj.components])
+        return np.einsum("kab,kcb->ac", mats, mats.conj()) / len(mats)
     rho, d = _as_density(obj, dims)
     return np.einsum("iaja->ij", rho.reshape(d.n_a, d.n_b, d.n_a, d.n_b))
 
@@ -275,11 +272,8 @@ def partial_trace_a(obj, dims: BipartiteDims | None = None) -> np.ndarray:
         a = obj.matrix
         return a.T @ a.conj()
     if isinstance(obj, MixedState) and obj.components is not None:
-        acc = np.zeros((obj.dims.n_b, obj.dims.n_b), dtype=np.complex128)
-        for st in obj.components:
-            a = st.matrix
-            acc += a.T @ a.conj()
-        return acc / len(obj.components)
+        mats = np.stack([st.matrix for st in obj.components])
+        return np.einsum("kab,kac->bc", mats, mats.conj()) / len(mats)
     rho, d = _as_density(obj, dims)
     return np.einsum("iaib->ab", rho.reshape(d.n_a, d.n_b, d.n_a, d.n_b))
 
@@ -353,16 +347,20 @@ def gram_density(gram: np.ndarray, m: int) -> np.ndarray:
 
 def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims, include_diagonal: bool = True) -> np.ndarray:
     """Eigenvalues of the partial transpose of the uniform mixture of the
-    normalized rows of ``amps`` (an (m, n_a n_b) array).
+    normalized rows of ``amps``, an (m, n_a n_b) array; a (..., m, n_a n_b)
+    stack gives one spectrum per mixture, stacked the same way.
 
-    A single row is a pure state, whose spectrum follows from its Schmidt
-    coefficients alone, in the order of ``schmidt_pt_eigenvalues``.  More
-    rows take one dense eigensolve of rho^T_B and come back ascending.
+    Pure states (m = 1) take their spectra from their Schmidt coefficients
+    alone, with one batched SVD, in the order of ``schmidt_pt_eigenvalues``.
+    A mixture takes one dense eigensolve of its rho^T_B, one mixture at a
+    time, and comes back ascending.
     """
-    if len(amps) == 1:
-        mu = schmidt_coefficients(amps[0].reshape(dims.n_a, dims.n_b))
+    *stack, m, d = amps.shape
+    if m == 1:
+        mu = schmidt_coefficients(amps.reshape(*stack, dims.n_a, dims.n_b))
         return schmidt_pt_eigenvalues(mu, include_diagonal)
-    return np.linalg.eigvalsh(partial_transpose_b(mixture_density(amps), dims))
+    spectra = [np.linalg.eigvalsh(partial_transpose_b(mixture_density(a), dims)) for a in amps.reshape(-1, m, d)]
+    return np.reshape(spectra, (*stack, d))
 
 
 def pure_pt_eigenvalues(state: PureState, include_diagonal: bool = True) -> np.ndarray:

@@ -63,10 +63,34 @@ class TestDensities:
 
     @pytest.mark.parametrize("d", ALL_KINDS)
     def test_array_density_equals_pointwise_bit_for_bit(self, d):
-        # the ptspec overlay is one array call; its CSV must keep the bits
-        # of one density_eval per bin centre
+        # the overlays are one array call; their CSVs must keep the bits of
+        # one density_eval per bin centre, and the KS the bits of cdf_eval
         xs = np.concatenate([np.linspace(-4.5, 4.5, 91), [-4.0, 0.0, 4.0, 1e-300]])
         assert density_on_array(d, xs).tolist() == [density_eval(d, float(x)) for x in xs]
+        xs = np.sort(xs)
+        pointwise = [cdf_eval(d, float(x)) for x in xs]
+        if d.kind in (analytic.PT_EIGS, analytic.MARCENKO_PASTUR):
+            # a sweep adds its integral gap by gap, a lone point takes one
+            # gap, and cdf_eval is exactly 0 and 1 at and beyond the edges
+            np.testing.assert_allclose(cdf_on_sorted(d, xs), pointwise, rtol=0, atol=1e-8)
+            lo, hi = d.support
+            assert {cdf_eval(d, x) for x in xs if x <= lo} == {0.0}
+            assert {cdf_eval(d, x) for x in xs if x >= hi} == {1.0}
+        else:
+            assert cdf_on_sorted(d, xs).tolist() == pointwise
+
+    @pytest.mark.parametrize("d", [rank2(0.3), rank2(0.5), gauss_width(1.0)], ids=["rank2-0.3", "rank2-0.5", "gauss"])
+    def test_closed_forms_raise_no_floating_point_warning_far_out(self, d):
+        # each rank-2 branch is evaluated on its own side of 0, so the unused
+        # one cannot overflow; far tails underflow to 0 quietly
+        xs = np.array([-1e4, 1e4])
+        with np.errstate(all="raise"):
+            pdf = density_on_array(d, xs)
+            cdf = cdf_on_sorted(d, xs)
+            points = [density_eval(d, x) for x in xs] + [cdf_eval(d, x) for x in xs]
+        assert pdf.tolist() == [0.0, 0.0] and points[:2] == [0.0, 0.0]
+        np.testing.assert_allclose(cdf, [0.0, 1.0], rtol=0, atol=1e-15)
+        assert points[2:] == cdf.tolist()
 
     def test_pt_eigs_finite_at_zero_and_even(self):
         d = pt_eigs()

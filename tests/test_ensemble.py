@@ -28,7 +28,9 @@ from witness_lab.qstate import (
     BipartiteDims,
     MixedState,
     mix_random_states,
+    mixture_density,
     mixture_pt_eigenvalues,
+    partial_transpose_b,
     sample_random_pure_batch,
 )
 from witness_lab.witness import pt_quadratic_form_batch, witness_spectrum
@@ -207,21 +209,36 @@ class TestWEnsemble:
         res = optimal_witness(mix_random_states(dims, 2, rng(10)))
         assert -dims.total < dims.total * res.lambda_min < 0
 
-    @pytest.mark.parametrize("shape,samples", [((3, 5), 4100), ((5, 3), 4100), ((8, 8), 600), ((32, 32), 70)])
-    def test_optimal_pure_batches_equal_a_per_sample_loop(self, shape, samples):
+    @pytest.mark.parametrize(
+        "shape,samples,m",
+        [
+            pytest.param((3, 5), 4100, 1, id="shape0-4100"),
+            pytest.param((5, 3), 4100, 1, id="shape1-4100"),
+            pytest.param((8, 8), 600, 1, id="shape2-600"),
+            pytest.param((32, 32), 70, 1, id="shape3-70"),
+            pytest.param((3, 5), 1100, 2, id="3x5-m2-1100"),
+            pytest.param((3, 5), 800, 3, id="3x5-m3-800"),
+        ],
+    )
+    def test_optimal_pure_batches_equal_a_per_sample_loop(self, shape, samples, m):
         # 3 x 5 draws in groups of 2184 states, so its first chunk of 4096
         # holds two groups and the second chunk the last 4; 32 x 32 draws
-        # in groups of 32
+        # in groups of 32; mixtures of m come in groups of 2184 // m (1092
+        # and 728 at 3 x 5), so both m > 1 runs span two groups
         dims = BipartiteDims(*shape)
         spec = WitnessSpec("optimal_per_state")
-        cfg = EnsembleConfig(dims=dims, samples=samples, witness_spec=spec, seed=19, workers=2)
+        cfg = EnsembleConfig(dims=dims, samples=samples, m=m, witness_spec=spec, seed=19, workers=2)
         got = run_w_ensemble(cfg).samples
         want = []
         for chunk, start in enumerate(range(0, samples, ensemble.CHUNK_SAMPLES)):
             gen = ensemble._rng_for(19, ensemble._STREAM_W, chunk)
             for _ in range(min(ensemble.CHUNK_SAMPLES, samples - start)):
-                comps = sample_random_pure_batch(dims, 1, gen)
-                want.append(dims.total * float(_pure_pt_reference(comps[0], dims, True).min()))
+                comps = sample_random_pure_batch(dims, m, gen)
+                if m == 1:
+                    lmin = _pure_pt_reference(comps[0], dims, True).min()
+                else:
+                    lmin = np.linalg.eigvalsh(partial_transpose_b(mixture_density(comps), dims))[0]
+                want.append(dims.total * float(lmin))
         assert np.array_equal(got, np.array(want))
 
     def test_cross_oracle_rank2_agreement(self):

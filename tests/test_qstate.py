@@ -300,6 +300,19 @@ class TestSpectrum:
         full = np.concatenate([got[: 2 * half], mu_sq, np.zeros(dims.total - 2 * half - r)])
         np.testing.assert_allclose(np.sort(full), direct, atol=1e-12)
 
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n_a, n_b", [(3, 5), (5, 3)])
+    def test_stack_equals_separate_calls_bit_for_bit(self, n_a, n_b, m, include_diagonal):
+        # a (k, m, d) stack is k mixtures: one batched SVD at m = 1, one
+        # eigensolve per mixture otherwise; leading axes keep their shape
+        dims = BipartiteDims(n_a, n_b)
+        amps = sample_random_pure_batch(dims, 6 * m, rng(70 + n_a + m)).reshape(6, m, dims.total)
+        got = mixture_pt_eigenvalues(amps, dims, include_diagonal)
+        assert np.array_equal(got, np.array([mixture_pt_eigenvalues(a, dims, include_diagonal) for a in amps]))
+        nested = mixture_pt_eigenvalues(amps.reshape(2, 3, m, dims.total), dims, include_diagonal)
+        assert np.array_equal(nested, got.reshape(2, 3, -1))
+
 
 class TestMixtureDensity:
     @pytest.mark.parametrize("rows", [slice(None), slice(None, None, 2)], ids=["contiguous", "row-slice"])
