@@ -9,7 +9,7 @@ rescaled statistic w, an elliptic-integral law and the Marcenko-Pastur law
 for spectra).
 """
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"
 
 from .qstate import (
     BipartiteDims,
@@ -47,12 +47,10 @@ from .analytic import (
     density_eval,
     detection_probability,
     detection_probability_asymptotic,
-    gauss_unit,
     gauss_width,
     marcenko_pastur,
     pt_eigs,
     rank2,
-    rank2_half,
 )
 from .ensemble import (
     EmpiricalDistribution,

@@ -10,7 +10,8 @@ Marcenko-Pastur law for scaled reduced-density eigenvalues tau = N*mu^2.
 
 Each law has one array pdf and one array cdf (``density_on_array``,
 ``cdf_on_sorted``); ``density_eval`` and ``cdf_eval`` are their one-point
-cases.
+cases.  Every CDF but the elliptic law's is in closed form; that one takes
+a quadrature sweep.
 """
 
 from __future__ import annotations
@@ -83,10 +84,6 @@ class AnalyticDensity:
         return ()
 
 
-def gauss_unit() -> AnalyticDensity:
-    return gauss_width(1.0)
-
-
 def gauss_width(k: float) -> AnalyticDensity:
     """Gaussian of mean 1 and variance 1/k (k need not be an integer; an
     m-fold mixture measured with a rank-k witness has k_eff = m k)."""
@@ -95,10 +92,6 @@ def gauss_width(k: float) -> AnalyticDensity:
 
 def rank2(lam: float) -> AnalyticDensity:
     return AnalyticDensity(RANK2, lam=float(lam))
-
-
-def rank2_half() -> AnalyticDensity:
-    return rank2(0.5)
 
 
 def pt_eigs() -> AnalyticDensity:
@@ -184,40 +177,33 @@ def density_eval(d: AnalyticDensity, x: float) -> float:
 
 
 def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
-    """CDF at an ascending array of points: the Gaussian and rank-2 closed
-    forms elementwise, and one cumulative quadrature sweep for the spectral
-    laws instead of one integral per point.
+    """CDF at an ascending array of points: the Gaussian, rank-2 and
+    Marcenko-Pastur closed forms elementwise, and one cumulative quadrature
+    sweep for the PT law instead of one integral per point.
 
-    The PT law is even, so F(y) = 1/2 + sgn(y) * int_0^|y| p: its sweep
-    runs from 0 over the distinct |y|, where the two eigenvalues +-mu_i mu_j
-    of a pure state share one gap, and F is exactly 0 and 1 at and beyond
-    -4 and 4.  The Marcenko-Pastur law is swept from 0 over the points
-    clipped to its support."""
+    The Marcenko-Pastur CDF is (2 theta + sin 2 theta) / pi with
+    tau = 4 sin^2 theta, exactly 0 and 1 at and beyond 0 and 4.  The PT law
+    is even, so F(y) = 1/2 + sgn(y) * int_0^|y| p: its sweep runs from 0
+    over the distinct |y|, where the two eigenvalues +-mu_i mu_j of a pure
+    state share one gap, and F is exactly 0 and 1 at and beyond -4 and 4."""
     xs = np.asarray(xs, dtype=float)
     with np.errstate(under="ignore"):
         if d.kind == GAUSS_WIDTH:
             return 0.5 * _erfc((1.0 - xs) * math.sqrt(d.k / 2.0)).astype(float)
         if d.kind == RANK2:
             return _rank2_cdf(d.lam, xs)
-    lo, hi = d.support
     if d.kind == MARCENKO_PASTUR:
-        clipped = np.clip(xs, lo, hi)
-        return quadrature.cumulative(_marcenko_pastur_pdf, lo, clipped, singularities=d.singular_points)
-    half, where = np.unique(np.minimum(np.abs(xs), hi), return_inverse=True)
+        theta = np.arcsin(np.sqrt(np.clip(xs, 0.0, 4.0)) / 2.0)
+        return (2.0 * theta + np.sin(2.0 * theta)) / math.pi
+    half, where = np.unique(np.minimum(np.abs(xs), 4.0), return_inverse=True)
     out = 0.5 + np.sign(xs) * quadrature.cumulative(_pt_eigs_pdf, 0.0, half)[where]
-    out[xs <= lo] = 0.0
-    out[xs >= hi] = 1.0
+    out[xs <= -4.0] = 0.0
+    out[xs >= 4.0] = 1.0
     return out
 
 
 def cdf_eval(d: AnalyticDensity, x: float) -> float:
-    """CDF at one point: the one-point case of ``cdf_on_sorted``, exactly 0
-    and 1 at and beyond the edges of a spectral law's support."""
-    lo, hi = d.support
-    if x <= lo:
-        return 0.0
-    if x >= hi:
-        return 1.0
+    """CDF at one point: the one-point case of ``cdf_on_sorted``."""
     return float(cdf_on_sorted(d, np.array([x], dtype=float))[0])
 
 

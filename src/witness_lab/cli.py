@@ -132,9 +132,7 @@ def _write_manifest(out: OutputTracker, args: argparse.Namespace, workers: int, 
         "wall_time_s": time.time() - t0,
         "outputs": [p.name for p in out.paths],
     }
-    with out.atomic_open("manifest.json") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out.json("manifest.json", payload)
 
 
 def _overlay_density(spec: WitnessSpec, m: int, sigma_sq: float | None):
@@ -387,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         workers = _resolve_workers(args.workers)
         args.func(args, workers, tracker)
         _write_manifest(tracker, args, workers, t0)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         tracker.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 1

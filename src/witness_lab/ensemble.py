@@ -590,13 +590,12 @@ def run_pt_spectrum(
 def _lmin_point_task(task) -> np.ndarray:
     """lambda_min of rho^T_B for each m of the sorted ``m_list``, rho the
     mixture of the first m of one draw of max(m_list) Haar states.  The
-    real Gram of the draw grows by the rows each m adds; a pure state takes
-    the Schmidt closed form."""
+    real Gram of the draw starts at the first m > 1 and grows by the rows
+    each later m adds; a pure state takes the Schmidt closed form."""
     (seed, n_idx, n, m_list, rep) = task
     dims = BipartiteDims(n, n)
     amps = sample_random_pure_batch(dims, m_list[-1], _rng_for(seed, _STREAM_LMIN, n_idx, rep))
     x = amps.view(np.float64)
-    gram = np.zeros((x.shape[1], x.shape[1]))
     out = np.empty(len(m_list))
     done = 0
     for i, m in enumerate(m_list):
@@ -604,7 +603,10 @@ def _lmin_point_task(task) -> np.ndarray:
             out[i] = mixture_pt_eigenvalues(amps[:1], dims).min()
             continue
         block = x[done:m]
-        gram += block.T @ block
+        if done:
+            gram += block.T @ block
+        else:
+            gram = block.T @ block
         done = m
         out[i] = np.linalg.eigvalsh(partial_transpose_b(gram_density(gram, m), dims))[0]
     return out

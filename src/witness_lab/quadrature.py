@@ -148,20 +148,14 @@ def _adaptive(f_nodes: Callable, a: float, b: float, singularities: Iterable[flo
     return sum(val for _, val in pieces)
 
 
-def cumulative(
-    f: Callable[[np.ndarray], np.ndarray],
-    start: float,
-    points,
-    singularities: Iterable[float] = (),
-) -> np.ndarray:
+def cumulative(f: Callable[[np.ndarray], np.ndarray], start: float, points) -> np.ndarray:
     """Running integral of ``f`` from ``start`` to each of the nondecreasing
     ``points``; used for building CDFs at sample locations.
 
     ``f`` acts elementwise on arrays.  One G7/K15 panel is
     evaluated on every gap between consecutive points at once, in blocks of
-    ``_SWEEP_BLOCK`` gaps.  A gap whose panel misses ``DEFAULT_TOL``, or that
-    contains a singularity, goes to ``integrate``'s panel loop, which
-    computes the same panel (after splitting at the singularity) and refines
+    ``_SWEEP_BLOCK`` gaps.  A gap whose panel misses ``DEFAULT_TOL`` goes to
+    ``integrate``'s panel loop, which computes the same panel and refines
     it, with one call of ``f`` on the 15 nodes of each panel.  Each gap
     therefore gets the bits ``integrate`` would give it alone, and the gaps
     are summed in order.
@@ -180,13 +174,8 @@ def cumulative(
     for i in range(0, len(live), _SWEEP_BLOCK):
         block = slice(i, i + _SWEEP_BLOCK)
         vals[block], errs[block] = _gk15(f_nodes, a[block], b[block])
-    sings = sorted(singularities)
-    refine = errs > DEFAULT_TOL
-    for s in sings:
-        refine |= (a < s) & (s < b)
-    for j in np.flatnonzero(refine):
-        inner = [s for s in sings if a[j] < s < b[j]]
-        vals[j] = _adaptive(f_nodes, a[j], b[j], inner)
+    for j in np.flatnonzero(errs > DEFAULT_TOL):
+        vals[j] = _adaptive(f_nodes, a[j], b[j], ())
     gaps = np.zeros(len(points) + 1)
     gaps[live + 1] = vals
     return np.cumsum(gaps)[1:]

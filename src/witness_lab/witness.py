@@ -2,13 +2,13 @@
 expectation statistic w = n_a * n_b * tr(W rho).
 
 Only the Q part matters for detection (a PSD P just shifts expectations
-upward), so witnesses are built as Q^T_B with tr Q = 1; the optional P block
-is kept for completeness checks.  A negative w certifies entanglement.
+upward), so witnesses are Q^T_B with tr Q = 1 and no P block.  A negative w
+certifies entanglement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +31,7 @@ ZERO_EIGENVALUE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class Witness:
-    """Witness Q^T_B (+ optional P) with Q = sum_i d_i |phi_i><phi_i|.
+    """Witness Q^T_B with Q = sum_i d_i |phi_i><phi_i|.
 
     ``q_weights`` are the positive d_i summing to one, ``q_vectors`` the
     corresponding pure states.  Builders enforce orthonormality of the
@@ -42,7 +42,6 @@ class Witness:
     dims: BipartiteDims
     q_weights: np.ndarray
     q_vectors: tuple[PureState, ...]
-    p_part: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.q_weights, dtype=np.float64)
@@ -73,11 +72,8 @@ class Witness:
         return v.T @ (self.q_weights[:, None] * v.conj())
 
     def to_matrix(self) -> np.ndarray:
-        """Materialize W = P + Q^T_B as an explicit Hermitian matrix."""
-        w = partial_transpose_b(self.q_matrix(), self.dims)
-        if self.p_part is not None:
-            w = w + np.asarray(self.p_part, dtype=np.complex128)
-        return w
+        """Materialize W = Q^T_B as an explicit Hermitian matrix."""
+        return partial_transpose_b(self.q_matrix(), self.dims)
 
 
 class WitnessSample(NamedTuple):
@@ -154,52 +150,38 @@ def pt_quadratic_form(phi_matrix: np.ndarray, psi_matrix: np.ndarray) -> float:
     """<phi| (|psi><psi|)^T_B |phi> without forming any n^2 x n^2 matrix.
 
     With C = Psi Phi^T (an n_a x n_a product of the amplitude matrices) the
-    value is sum_ij C_ij conj(C_ji), real by Hermiticity.
+    value is sum_ij C_ij conj(C_ji), real by Hermiticity; the one-state
+    case of ``pt_quadratic_form_batch``.
     """
-    c = psi_matrix @ phi_matrix.T
-    return float(np.einsum("ij,ji->", c, c.conj()).real)
+    return float(pt_quadratic_form_batch(phi_matrix, psi_matrix[None])[0])
 
 
 def pt_quadratic_form_batch(phi_matrix: np.ndarray, psi_matrices: np.ndarray) -> np.ndarray:
-    """Vectorized ``pt_quadratic_form`` over a (k, n_a, n_b) stack."""
+    """``pt_quadratic_form`` of each state of a (k, n_a, n_b) stack."""
     k, n_a, n_b = psi_matrices.shape
     c = (psi_matrices.reshape(k * n_a, n_b) @ phi_matrix.T).reshape(k, n_a, n_a)
     return np.einsum("kij,kji->k", c, c.conj()).real
 
 
-def _raw_expectation_pure(witness: Witness, psi: PureState) -> float:
-    psi_m = psi.matrix
-    val = sum(
-        d * pt_quadratic_form(phi.matrix, psi_m)
-        for d, phi in zip(witness.q_weights, witness.q_vectors)
-    )
-    if witness.p_part is not None:
-        val += float(np.vdot(psi.amplitudes, witness.p_part @ psi.amplitudes).real)
-    return val
-
-
 def expectation(witness: Witness, state: "PureState | MixedState") -> WitnessSample:
     """tr(W rho), rescaled by n_a * n_b.
 
-    List-form mixtures are averaged component by component; explicit matrices
-    go through the partial transpose (tr(Q^T_B rho) = tr(Q rho^T_B)).
+    A pure state and a list-form mixture stack their component matrices and
+    take one ``pt_quadratic_form_batch`` call per witness vector, averaged
+    over the components; explicit matrices go through the partial transpose
+    (tr(Q^T_B rho) = tr(Q rho^T_B)).
     """
     if state.dims != witness.dims:
         raise ValueError(f"dims mismatch: witness {witness.dims}, state {state.dims}")
-    if isinstance(state, PureState):
-        raw = _raw_expectation_pure(witness, state)
-        m = 1
-    elif state.components is not None:
-        raw = sum(_raw_expectation_pure(witness, st) for st in state.components) / len(state.components)
-        m = len(state.components)
+    pairs = zip(witness.q_weights, witness.q_vectors)
+    components = (state,) if isinstance(state, PureState) else state.components
+    if components is not None:
+        psis = np.stack([st.matrix for st in components])
+        raw = sum(float(d * pt_quadratic_form_batch(phi.matrix, psis).mean()) for d, phi in pairs)
+        m = len(components)
     else:
         rho_tb = partial_transpose_b(state.to_matrix(), state.dims)
-        raw = sum(
-            float(d * np.vdot(phi.amplitudes, rho_tb @ phi.amplitudes).real)
-            for d, phi in zip(witness.q_weights, witness.q_vectors)
-        )
-        if witness.p_part is not None:
-            raw += float(np.trace(witness.p_part @ state.to_matrix()).real)
+        raw = sum(float(d * np.vdot(phi.amplitudes, rho_tb @ phi.amplitudes).real) for d, phi in pairs)
         m = state.m
     return WitnessSample(w=witness.dims.total * raw, raw=raw, m=m)
 
@@ -207,13 +189,13 @@ def expectation(witness: Witness, state: "PureState | MixedState") -> WitnessSam
 def witness_spectrum(witness: Witness) -> WitnessSpectrum:
     """Eigenvalues of W.
 
-    A rank-one witness without P block has the closed-form spectrum of a
+    A rank-one witness has the closed-form spectrum of a
     partially transposed pure state, {mu_i^2} and {+-mu_i mu_j} from the
     Schmidt coefficients of its vector; anything else takes one dense
     eigensolve of the (n_a n_b)^2 matrix.  Eigenvalues within
     ``ZERO_EIGENVALUE_RTOL`` of zero, relative to the largest, count as zeros.
     """
-    if witness.rank == 1 and witness.p_part is None:
+    if witness.rank == 1:
         eig = pure_pt_eigenvalues(witness.q_vectors[0])
     else:
         eig = np.linalg.eigvalsh(witness.to_matrix())

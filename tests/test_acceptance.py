@@ -235,7 +235,7 @@ def test_c11_property_suites():
         failures.append("PT spectrum identity")
 
     # closed-form density normalizations
-    for dens in (analytic.gauss_unit(), gauss_width(4), rank2_density(0.3), pt_eigs(), analytic.marcenko_pastur()):
+    for dens in (gauss_width(1.0), gauss_width(4), rank2_density(0.3), pt_eigs(), analytic.marcenko_pastur()):
         if abs(analytic.integral_over_support(dens) - 1.0) > 1e-6:
             failures.append(f"normalization {dens.kind}")
 

@@ -14,28 +14,26 @@ from witness_lab.analytic import (
     density_on_array,
     detection_probability,
     detection_probability_asymptotic,
-    gauss_unit,
     gauss_width,
     integral_over_support,
     marcenko_pastur,
     pt_eigs,
     rank2,
-    rank2_half,
 )
 from witness_lab.ensemble import ks_statistic
 
 from conftest import rng
 
-# gauss_unit() and rank2_half() are gauss_width(1) and rank2(0.5); the explicit
-# ids keep their test names apart from those kinds
+# gauss_width(1) and the second rank2(0.5) carry the ids of the former
+# gauss_unit and rank2_half cases, so the test ids stay stable
 ALL_KINDS = [
-    pytest.param(gauss_unit(), id="gauss_unit-None-None"),
+    pytest.param(gauss_width(1.0), id="gauss_unit-None-None"),
     gauss_width(4),
     gauss_width(16),
     rank2(0.5),
     rank2(1 / 26),
     rank2(0.12),
-    pytest.param(rank2_half(), id="rank2_half-None-None"),
+    pytest.param(rank2(0.5), id="rank2_half-None-None"),
     pt_eigs(),
     marcenko_pastur(),
 ]
@@ -43,17 +41,15 @@ ALL_KINDS = [
 
 class TestDensities:
     def test_gauss_unit_peak(self):
-        assert density_eval(gauss_unit(), 1.0) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-12)
+        assert density_eval(gauss_width(1.0), 1.0) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-12)
 
     def test_rank2_half_branches(self):
-        d = rank2_half()
+        d = rank2(0.5)
         for w in (-2.0, -0.3):
             assert density_eval(d, w) == pytest.approx(math.exp(2 * w) / 4, abs=1e-12)
         for w in (0.4, 2.2):
             expected = (1 + 4 * w + 8 * w * w) * math.exp(-2 * w) / 4
             assert density_eval(d, w) == pytest.approx(expected, abs=1e-12)
-        # rank2 at lambda = 1/2 routes through the same closed form
-        assert density_eval(rank2(0.5), 0.7) == pytest.approx(density_eval(d, 0.7), abs=1e-12)
 
     def test_rank2_continuity_at_zero(self):
         for lam in (0.5, 1 / 26, 0.31):
@@ -69,7 +65,7 @@ class TestDensities:
         assert density_on_array(d, xs).tolist() == [density_eval(d, float(x)) for x in xs]
         xs = np.sort(xs)
         pointwise = [cdf_eval(d, float(x)) for x in xs]
-        if d.kind in (analytic.PT_EIGS, analytic.MARCENKO_PASTUR):
+        if d.kind == analytic.PT_EIGS:
             # a sweep adds its integral gap by gap, a lone point takes one
             # gap, and cdf_eval is exactly 0 and 1 at and beyond the edges
             np.testing.assert_allclose(cdf_on_sorted(d, xs), pointwise, rtol=0, atol=1e-8)
@@ -138,7 +134,7 @@ class TestDensities:
 
 class TestCdf:
     def test_gauss_matches_scipy(self):
-        d = gauss_unit()
+        d = gauss_width(1.0)
         for x in (-2.0, 0.0, 1.0, 3.5):
             assert cdf_eval(d, x) == pytest.approx(sp_special.ndtr(x - 1.0), abs=1e-12)
 
@@ -202,13 +198,12 @@ def test_rank2_accurate_as_lambda_approaches_half():
 
 class TestDetectionProbability:
     def test_gauss_unit_value(self):
-        p = detection_probability(gauss_unit())
+        p = detection_probability(gauss_width(1.0))
         assert p == pytest.approx(0.15865525393145707, abs=1e-12)
         assert round(p, 3) == 0.159
 
     def test_rank2_balanced(self):
         assert detection_probability(rank2(0.5)) == pytest.approx(1 / 8, abs=1e-12)
-        assert detection_probability(rank2_half()) == pytest.approx(1 / 8, abs=1e-12)
 
     def test_rank2_small_lambda(self):
         assert detection_probability(rank2(1 / 26)) == pytest.approx(5 / 72, abs=1e-12)
@@ -256,7 +251,7 @@ class TestAsymptoticDecay:
 class TestConvolutionOracle:
     def test_balanced_matches_closed_form(self):
         dist = analytic.rank2_density_convolution_oracle(0.5, 1_000_000, rng(40))
-        ks = ks_statistic(dist.samples, lambda xs: cdf_on_sorted(rank2_half(), xs))
+        ks = ks_statistic(dist.samples, lambda xs: cdf_on_sorted(rank2(0.5), xs))
         assert ks < 0.005
 
     def test_small_lambda_detection_probability(self):

@@ -1,12 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from witness_lab import cli, ensemble
+from witness_lab import __version__, cli, ensemble
 
 
 def run_cli(args):
@@ -143,7 +144,7 @@ class TestPtspec:
     def test_zero_m_usage_error(self, tmp_path):
         assert run_cli(["ptspec", "--dims", "8", "8", "--m", "0", "--out", tmp_path / "x"]) != 0
 
-    @pytest.mark.parametrize("exc", [ArithmeticError, KeyboardInterrupt])
+    @pytest.mark.parametrize("exc", [ArithmeticError, KeyboardInterrupt, MemoryError])
     def test_failure_after_first_write_leaves_no_outputs(self, tmp_path, monkeypatch, exc):
         # ptspec writes its histogram and overlay before the KS distance
         def boom(d, xs):
@@ -268,6 +269,10 @@ class TestManifest:
         manifest = read_json(out / "manifest.json")
         assert manifest["workers"] == 2
         assert manifest["config"]["workers"] == 1  # the flag as given
+
+    def test_pyproject_version_is_the_package_version(self):
+        text = (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+        assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == __version__
 
 
 class TestCoreCountIndependence:

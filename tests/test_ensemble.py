@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -473,6 +474,17 @@ class TestLambdaMinScan:
     def test_requires_repetitions(self):
         with pytest.raises(ValueError):
             run_lambda_min_scan([4], [1], repetitions=1)
+
+    def test_all_pure_scan_allocates_no_gram(self):
+        # the Gram starts at the first m > 1; a zeroed one at N = 48 would
+        # take (2 N^2)^2 doubles, 170 MB
+        tracemalloc.start()
+        try:
+            run_lambda_min_scan([48], [1], repetitions=2, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 direct integration of the defining integrals)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,14 +137,13 @@ def test_cumulative_rejects_descending_points():
         cumulative(np.cos, 0.0, [-0.1, 0.4])
 
 
-def _running_integrals(f, start, points, singularities):
+def _running_integrals(f, start, points):
     """The gap-by-gap sum that ``cumulative`` reproduces: one scalar
     ``integrate`` per nonempty gap, added in order."""
     out, acc, prev = [], 0.0, start
     for x in points:
         if x > prev:
-            inner = [s for s in singularities if prev < s < x]
-            acc += integrate(f, prev, x, singularities=inner)
+            acc += integrate(f, prev, x)
             prev = x
         out.append(acc)
     return np.array(out)
@@ -164,7 +164,7 @@ def test_pt_law_sweep_equals_per_gap_integrate_bit_for_bit():
     got = analytic.cdf_on_sorted(d, xs)
     half = np.minimum(np.abs(xs), 4.0)
     sweep = np.sort(half)
-    running = _running_integrals(lambda t: analytic.density_eval(d, t), 0.0, sweep, [0.0])
+    running = _running_integrals(lambda t: analytic.density_eval(d, t), 0.0, sweep)
     want = 0.5 + np.sign(xs) * running[np.searchsorted(sweep, half)]
     want[xs <= -4.0] = 0.0
     want[xs >= 4.0] = 1.0
@@ -213,21 +213,25 @@ def test_pt_law_pairs_share_a_gap(monkeypatch):
 
 def test_mp_law_goes_through_the_array_path(monkeypatch):
     d = analytic.marcenko_pastur()
+    pdf = lambda t: analytic.density_eval(d, t)  # noqa: E731
     xs = np.sort(np.concatenate([np.random.default_rng(7).uniform(-0.2, 4.2, 200), [0.0, 4.0, 4.0]]))
-    want = _running_integrals(lambda t: analytic.density_eval(d, t), 0.0, np.clip(xs, 0.0, 4.0), [0.0])
-    shapes = []
-    pdf = analytic._marcenko_pastur_pdf
+    # the contract of the quadrature sweep this closed form replaced
+    swept = _running_integrals(pdf, 0.0, np.clip(xs, 0.0, 4.0))
+    interior = [1e-6, 1e-3, 0.3, 1.0, 2.0, 3.0, 3.9, 3.999999]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sp_integrate.IntegrationWarning)
+        oracle = [sp_integrate.quad(pdf, 0.0, x, limit=200, epsabs=1e-14, epsrel=1e-14) for x in interior]
 
-    def recording_pdf(tau):
-        shapes.append(np.shape(tau))
-        return pdf(tau)
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the Marcenko-Pastur CDF went through quadrature")
 
-    monkeypatch.setattr(analytic, "_marcenko_pastur_pdf", recording_pdf)
-    monkeypatch.setattr(np, "vectorize", None)
+    for name in ("cumulative", "integrate", "_adaptive", "_gk15"):
+        monkeypatch.setattr(quadrature, name, no_quadrature)
     got = analytic.cdf_on_sorted(d, xs)
-    assert np.array_equal(got, want)
-    # one call on the 15 nodes of every nonempty gap, then one call on the 15
-    # nodes of each panel of the gaps that refine (the 1/sqrt(tau) edge at 0,
-    # the edge at 4)
-    assert shapes[0] == (15, np.count_nonzero(np.diff(np.clip(xs, 0.0, 4.0), prepend=0.0)))
-    assert set(shapes[1:]) == {(15,)}
+    assert np.abs(got - swept).max() <= 1e-9
+    assert set(got[xs <= 0.0]) == {0.0} and set(got[xs >= 4.0]) == {1.0}
+    assert analytic.cdf_eval(d, 4.0) == 1.0
+    checked = [(x, val) for x, (val, err) in zip(interior, oracle) if err < 1e-13]
+    assert len(checked) >= 6
+    for x, val in checked:
+        assert abs(analytic.cdf_eval(d, x) - val) <= 1e-12
