@@ -9,7 +9,7 @@ rescaled statistic w, an elliptic-integral law and the Marcenko-Pastur law
 for spectra).
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .qstate import (
     BipartiteDims,
@@ -37,7 +37,6 @@ from .witness import (
     optimal_witness,
     rank2_state,
     sample_w_overlap_model,
-    trace_powers,
     witness_from_vector,
     witness_rank_k,
     witness_spectrum,

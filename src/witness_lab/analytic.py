@@ -229,15 +229,3 @@ def detection_probability_asymptotic(m: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     return math.exp(-m / 2.0) / math.sqrt(2.0 * math.pi * m)
 
-
-def rank2_density_convolution_oracle(lam: float, samples: int, rng: np.random.Generator):
-    """Empirical distribution of w sampled from the two-eigenvalue overlap
-    model (exponential magnitudes, uniform phases).  Entirely bypasses the
-    quantum state sampler, so it validates the rank-2 closed form and the
-    simulator against each other."""
-    from .ensemble import empirical_from_samples
-    from .witness import sample_w_overlap_model
-
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    return empirical_from_samples(sample_w_overlap_model(np.array([lam, 1.0 - lam]), rng, size=samples))

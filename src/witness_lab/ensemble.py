@@ -274,15 +274,6 @@ def ks_statistic(samples: np.ndarray, cdf_on_sorted) -> float:
     return float(np.max(np.maximum(up, lo)))
 
 
-def ks_statistic_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / len(a)
-    fb = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))
-
-
 def kurtosis_ratio(samples: np.ndarray) -> float:
     """mu_4 / mu_2^2 of the centered samples (2 for a semicircle, 3 for a
     Gaussian)."""
@@ -395,22 +386,6 @@ def _w_chunk_task(task) -> np.ndarray:
     return out
 
 
-def _w_tasks(
-    dims: BipartiteDims,
-    samples: int,
-    m: int,
-    spectrum: WitnessSpectrum | None,
-    entropy: tuple[int, ...],
-) -> list[tuple]:
-    """``_w_chunk_task`` tasks for ``samples`` w values: chunk i holds the
-    next ``CHUNK_SAMPLES`` samples (the last chunk the rest) and draws from
-    the stream ``(*entropy, i)``."""
-    return [
-        (entropy, i, min(CHUNK_SAMPLES, samples - start), m, dims.n_a, dims.n_b, spectrum)
-        for i, start in enumerate(range(0, samples, CHUNK_SAMPLES))
-    ]
-
-
 def _w_samples(
     dims: BipartiteDims,
     samples: int,
@@ -421,8 +396,13 @@ def _w_samples(
 ) -> np.ndarray:
     """w for ``samples`` uniform mixtures of m Haar states, measured against
     the witness with this spectrum, or against each state's optimal witness
-    when ``spectrum`` is None."""
-    tasks = _w_tasks(dims, samples, m, spectrum, entropy)
+    when ``spectrum`` is None.  Chunk i holds the next ``CHUNK_SAMPLES``
+    samples (the last chunk the rest) and draws from the stream
+    ``(*entropy, i)``."""
+    tasks = [
+        (entropy, i, min(CHUNK_SAMPLES, samples - start), m, dims.n_a, dims.n_b, spectrum)
+        for i, start in enumerate(range(0, samples, CHUNK_SAMPLES))
+    ]
     return np.concatenate(_map_ordered(_w_chunk_task, tasks, workers))
 
 
@@ -734,22 +714,22 @@ def cumulant_report(
     witness: Witness,
     m: int = 1,
 ) -> tuple[CumulantComparison, ...]:
-    """Empirical cumulants kappa_2..kappa_4 against the trace-power
-    predictions, with jackknife z-scores; |z| above ``_FLAG_Z`` is
-    flagged."""
-    pred = predicted_cumulants(witness, m=m)
+    """Empirical cumulants kappa_2..kappa_4 against the exact predictions
+    from the witness spectrum, with jackknife z-scores; |z| above
+    ``_FLAG_Z`` is flagged."""
+    pred = predicted_cumulants(witness_spectrum(witness), m=m)
     rows = []
     for order in (2, 3, 4):
         emp, se = dist.cumulant(order)
         diff = emp - pred[order]
-        z = diff / se if se > 0 else (0.0 if diff == 0 else math.copysign(math.inf, diff))
+        z = float(diff / se) if se > 0 else (0.0 if diff == 0 else math.copysign(math.inf, diff))
         rows.append(
             CumulantComparison(
                 order=order,
                 empirical=emp,
                 std_err=se,
                 predicted=pred[order],
-                z_score=float(z),
+                z_score=z,
                 flagged=abs(z) > _FLAG_Z,
             )
         )

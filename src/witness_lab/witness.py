@@ -8,6 +8,7 @@ certifies entanglement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,7 +23,6 @@ from .qstate import (
     pure_pt_eigenvalues,
     sample_random_pure_batch,
     schmidt,
-    schmidt_coefficients,
 )
 
 ORTHONORMAL_TOL = 1e-8
@@ -261,37 +261,23 @@ def sample_w_overlap_model(
     return float(w[0]) if size is None else w
 
 
-def trace_powers(witness: Witness, k_max: int) -> np.ndarray:
-    """tr W^n for n = 1..k_max of a rank-one witness, via the closed form in
-    the Schmidt probabilities lam of its vector:
+def predicted_cumulants(spectrum: WitnessSpectrum, m: int = 1) -> dict[int, float]:
+    """Exact cumulants kappa_2..kappa_4 of w for uniform mixtures of m Haar
+    states measured against a witness with this spectrum.
 
-        tr W^(2k) = (sum lam^k)^2,   tr W^(2k+1) = sum lam^(2k+1).
+    For one state w - 1 = sum_k c_k D_k with c = n lam - 1 over all
+    n = n_a n_b eigenvalues (a zero gives c = -1) and D flat Dirichlet, so
+    the central moments are h_r(c) / C(n + r - 1, r), with the complete
+    homogeneous polynomials h_r from the power sums p_j by Newton's
+    identities r h_r = sum_j p_j h_(r-j); a mean of m copies divides
+    kappa_r by m^(r-1).
     """
-    if witness.rank != 1:
-        raise ValueError("trace powers in closed form need a rank-one witness")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    lam = schmidt_coefficients(witness.q_vectors[0].matrix) ** 2
-    out = np.empty(k_max)
-    for n in range(1, k_max + 1):
-        if n % 2 == 0:
-            out[n - 1] = np.sum(lam ** (n // 2)) ** 2
-        else:
-            out[n - 1] = np.sum(lam**n)
-    return out
-
-
-def predicted_cumulants(witness: Witness, m: int = 1) -> dict[int, float]:
-    """Leading-order cumulants of w for random pure states measured against
-    this witness: kappa_2 = tr W^2, kappa_3 = 2 tr W^3, kappa_4 = 6 tr W^4
-    per rank-one component, combined as kappa_n = sum_i d_i^n kappa_n^(i) and
-    scaled by 1/m^(n-1) for an m-component mixture."""
-    coef = {2: 1.0, 3: 2.0, 4: 6.0}
-    out = {2: 0.0, 3: 0.0, 4: 0.0}
-    for d, phi in zip(witness.q_weights, witness.q_vectors):
-        tp = trace_powers(witness_from_vector(phi), 4)
-        for n in (2, 3, 4):
-            out[n] += d**n * coef[n] * tp[n - 1]
-    for n in (2, 3, 4):
-        out[n] /= m ** (n - 1)
-    return out
+    n = len(spectrum.nonzero) + spectrum.zeros
+    c = n * spectrum.nonzero - 1.0
+    p = [float(np.sum(c**j)) + spectrum.zeros * (-1.0) ** j for j in range(5)]
+    h = [1.0]
+    for r in range(1, 5):
+        h.append(sum(p[j] * h[r - j] for j in range(1, r + 1)) / r)
+    mu = [h[r] / math.comb(n + r - 1, r) for r in range(5)]
+    kappa = {2: mu[2], 3: mu[3], 4: mu[4] - 3.0 * mu[2] ** 2}
+    return {r: k / m ** (r - 1) for r, k in kappa.items()}

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from witness_lab.ensemble import EnsembleConfig, WitnessSpec, run_w_ensemble
+from witness_lab.ensemble import EnsembleConfig, WitnessSpec, empirical_from_samples, run_w_ensemble
 from witness_lab.qstate import BipartiteDims
+from witness_lab.witness import sample_w_overlap_model
 
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def rank2_overlap_distribution(lam: float, samples: int, generator: np.random.Generator):
+    """Empirical distribution of w from the two-eigenvalue overlap model,
+    which bypasses the quantum state sampler: an independent oracle for the
+    rank-2 closed form and the simulator."""
+    return empirical_from_samples(sample_w_overlap_model(np.array([lam, 1 - lam]), generator, size=samples))
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from witness_lab.analytic import cdf_on_sorted, rank2 as rank2_density, rank2_density_convolution_oracle
+from witness_lab.analytic import cdf_on_sorted, rank2 as rank2_density
 from witness_lab import ensemble
 from witness_lab.ensemble import (
     CriticalMRow,
@@ -17,7 +18,6 @@ from witness_lab.ensemble import (
     dense_coding_usable,
     derive_witness,
     empirical_from_samples,
-    ks_statistic_two_sample,
     kurtosis_ratio,
     run_lambda_min_scan,
     run_mixture_decay,
@@ -36,7 +36,7 @@ from witness_lab.qstate import (
 )
 from witness_lab.witness import pt_quadratic_form_batch, witness_spectrum
 
-from conftest import rng
+from conftest import rank2_overlap_distribution, rng
 
 
 def _pure_pt_reference(amps: np.ndarray, dims: BipartiteDims, include_diagonal: bool) -> np.ndarray:
@@ -251,8 +251,8 @@ class TestWEnsemble:
             workers=2,
         )
         quantum = run_w_ensemble(cfg)
-        model = rank2_density_convolution_oracle(0.25, 100_000, rng(12))
-        assert ks_statistic_two_sample(quantum.samples, model.samples) < 0.02
+        model = rank2_overlap_distribution(0.25, 100_000, rng(12))
+        assert stats.ks_2samp(quantum.samples, model.samples, method="asymp").statistic < 0.02
 
 
 class TestSpectralSampler:
@@ -278,7 +278,7 @@ class TestSpectralSampler:
         oracle = dims.total * q.reshape(n, m).mean(axis=1)
         # DKW bound on each empirical CDF, false-alarm probability 1e-6 in all
         eps = 2 * math.sqrt(math.log(2 / 0.5e-6) / (2 * n))
-        assert ks_statistic_two_sample(w, oracle) < eps
+        assert stats.ks_2samp(w, oracle, method="asymp").statistic < eps
 
         dist = empirical_from_samples(w)
         tr_w2 = float(np.sum(spectrum.nonzero**2))
@@ -650,11 +650,13 @@ class TestCumulantReport:
         cfg, dist = rank2_half_ensemble
         rows = cumulant_report(dist, derive_witness(cfg))
         k3 = rows[1]
-        assert k3.predicted == pytest.approx(0.5, abs=1e-12)  # 2 tr W^3 = 2 * 1/4
+        assert k3.predicted == pytest.approx(0.49270, abs=5e-6)
+        assert abs(k3.predicted - 0.5) < 0.01  # N -> inf: 2 tr W^3 = 2 * 1/4
         assert abs(k3.empirical - 0.5) < 4 * k3.std_err
 
     def test_product_vector_gives_exponential_cumulants(self):
-        # w for a product witness vector is Exp(1): kappa_n = (n-1)!
+        # w for a product witness vector is n Beta(1, n - 1), which tends to
+        # Exp(1) (kappa_n = (n-1)!) as n -> inf
         from witness_lab.qstate import PureState
         from witness_lab.witness import witness_from_vector, witness_spectrum
         from witness_lab.ensemble import _w_samples
@@ -666,6 +668,23 @@ class TestCumulantReport:
         w = _w_samples(dims, 50_000, 1, witness_spectrum(witness), (25, 1), workers=2)
         dist = empirical_from_samples(w)
         rows = cumulant_report(dist, witness)
-        assert [r.predicted for r in rows] == [1.0, 2.0, 6.0]
+        _, var, skew, kurt = stats.beta(1, dims.total - 1).stats("mvsk")
+        n = dims.total
+        exact = [n**2 * var, n**3 * skew * var**1.5, n**4 * kurt * var**2]
+        np.testing.assert_allclose([r.predicted for r in rows], exact, rtol=1e-12, atol=0)
         assert all(abs(r.z_score) <= 4 for r in rows)
         assert np.all(w >= 0)
+
+    @pytest.mark.parametrize(
+        "shape, spec, m",
+        [((4, 4), "rankk:3", 1), ((4, 4), "rankk:3", 2), ((8, 8), "random", 1), ((8, 8), "rank2:0.3", 1)],
+    )
+    def test_exact_predictions_flag_nothing(self, shape, spec, m):
+        # finite-N sizes: here the N -> inf cumulants are 7-73 standard
+        # errors off a correct sampler
+        cfg = EnsembleConfig(
+            dims=BipartiteDims(*shape), samples=100_000, m=m, witness_spec=WitnessSpec.parse(spec), seed=0, workers=2
+        )
+        rows = cumulant_report(run_w_ensemble(cfg), derive_witness(cfg), m=m)
+        assert all(type(r.flagged) is bool for r in rows)
+        assert not any(r.flagged for r in rows), [r.z_score for r in rows]

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from witness_lab.ensemble import empirical_from_samples, ks_statistic, ks_statistic_two_sample
+from witness_lab.ensemble import empirical_from_samples, ks_statistic
 from witness_lab.qstate import (
     BipartiteDims,
     MixedState,
@@ -26,7 +27,6 @@ from witness_lab.witness import (
     random_rank_k_witness,
     rank2_state,
     sample_w_overlap_model,
-    trace_powers,
     witness_from_vector,
     witness_rank_k,
     witness_spectrum,
@@ -280,7 +280,7 @@ class TestOverlapModel:
         draws = sample_w_overlap_model(lam, rng(22), size=n)
         # DKW bound on each empirical CDF, false-alarm probability 1e-6 in all
         eps = 2 * math.sqrt(math.log(2 / 0.5e-6) / (2 * n))
-        assert ks_statistic_two_sample(draws, reference) < eps
+        assert stats.ks_2samp(draws, reference, method="asymp").statistic < eps
 
         dist = empirical_from_samples(draws)
         assert abs(dist.mean - 1.0) < 5 * dist.mean_std_err
@@ -310,8 +310,14 @@ class TestOverlapModel:
             quantum = np.concatenate(
                 [w_batch(w, dims, 4096, r_quantum) for _ in range(25)]
             )
-            ks = ks_statistic_two_sample(model, quantum)
+            ks = stats.ks_2samp(model, quantum, method="asymp").statistic
             assert ks < 0.02, f"rank {r_rank}: KS = {ks}"
+
+
+def trace_powers(witness, k_max):
+    """tr W^n for n = 1..k_max from the eigenvalues of W."""
+    lam = witness_spectrum(witness).nonzero
+    return np.array([np.sum(lam**n) for n in range(1, k_max + 1)])
 
 
 class TestTracePowers:
@@ -345,10 +351,6 @@ class TestTracePowers:
         t3 = trace_powers(w, 3)[2]
         assert 0 < t3 < 20.0 / 32**2
 
-    def test_requires_rank_one(self):
-        w = random_rank_k_witness(BipartiteDims(3, 3), 2, rng(23))
-        with pytest.raises(ValueError):
-            trace_powers(w, 3)
 
 
 class TestWidthStatistics:
@@ -395,11 +397,30 @@ class TestWidthStatistics:
 
     def test_predicted_cumulants_mixture_scaling(self):
         w = witness_from_vector(rank2_state(BipartiteDims(4, 4), 0.5))
-        p1 = predicted_cumulants(w, m=1)
-        p4 = predicted_cumulants(w, m=4)
+        p1 = predicted_cumulants(witness_spectrum(w), m=1)
+        p4 = predicted_cumulants(witness_spectrum(w), m=4)
         assert p4[2] == pytest.approx(p1[2] / 4)
         assert p4[3] == pytest.approx(p1[3] / 16)
         assert p4[4] == pytest.approx(p1[4] / 64)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_predicted_variance_is_exact(self, m):
+        # Var(w) = (n tr W^2 - 1) / ((n + 1) m) for any witness, including
+        # a directly built one on non-orthogonal vectors
+        dims = BipartiteDims(4, 6)
+        r = rng(29)
+        base = sample_random_pure_batch(dims, 2, r)
+        witnesses = [
+            random_haar_witness(dims, r),
+            witness_from_vector(rank2_state(dims, 0.3)),
+            random_rank_k_witness(dims, 5, r),
+            witness_from_vector(product_state(dims)),
+            Witness(dims, np.array([0.3, 0.7]), tuple(PureState(dims, a) for a in base)),
+        ]
+        for w in witnesses:
+            spectrum = witness_spectrum(w)
+            var = (dims.total * np.sum(spectrum.nonzero**2) - 1) / ((dims.total + 1) * m)
+            assert predicted_cumulants(spectrum, m=m)[2] == pytest.approx(var, rel=1e-13, abs=0)
 
     def test_detection_invariant_under_local_rotations(self):
         # a rank-2 vector rotated by local unitaries detects with the same
