@@ -9,18 +9,15 @@ rescaled statistic w, an elliptic-integral law and the Marcenko-Pastur law
 for spectra).
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .qstate import (
     BipartiteDims,
     MixedState,
     PureState,
     SchmidtDecomposition,
-    Spectrum,
     ghz_state,
-    hermitian_spectrum,
     mix_random_states,
-    partial_trace_a,
     partial_trace_b,
     partial_transpose_b,
     pure_pt_eigenvalues,

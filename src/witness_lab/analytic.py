@@ -11,7 +11,8 @@ Marcenko-Pastur law for scaled reduced-density eigenvalues tau = N*mu^2.
 Each law has one array pdf and one array cdf (``density_on_array``,
 ``cdf_on_sorted``); ``density_eval`` and ``cdf_eval`` are their one-point
 cases.  Every CDF but the elliptic law's is in closed form; that one takes
-a quadrature sweep.
+a quadrature sweep.  The module holds only what the subcommands evaluate;
+the test suite integrates the densities with its own oracles.
 """
 
 from __future__ import annotations
@@ -40,11 +41,7 @@ MARCENKO_PASTUR = "marcenko_pastur"
 
 @dataclass(frozen=True)
 class AnalyticDensity:
-    """A named closed-form density with its parameters.
-
-    ``support`` is the exact support; ``quad_support`` is a finite interval
-    carrying all but a negligible (< 1e-15) tail mass, used for quadrature.
-    """
+    """A named closed-form density with its parameters."""
 
     kind: str
     lam: float | None = None
@@ -59,29 +56,6 @@ class AnalyticDensity:
                 raise ValueError(f"gauss_width density needs k > 0, got {self.k}")
         elif self.kind not in (PT_EIGS, MARCENKO_PASTUR):
             raise ValueError(f"unknown density kind {self.kind!r}")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        if self.kind == PT_EIGS:
-            return (-4.0, 4.0)
-        if self.kind == MARCENKO_PASTUR:
-            return (0.0, 4.0)
-        return (-math.inf, math.inf)
-
-    @property
-    def quad_support(self) -> tuple[float, float]:
-        if self.kind == GAUSS_WIDTH:
-            half = 12.0 / math.sqrt(self.k)
-            return (1.0 - half, 1.0 + half)
-        if self.kind == RANK2:
-            return (-25.0, 45.0)
-        return self.support
-
-    @property
-    def singular_points(self) -> tuple[float, ...]:
-        if self.kind in (PT_EIGS, MARCENKO_PASTUR):
-            return (0.0,)
-        return ()
 
 
 def gauss_width(k: float) -> AnalyticDensity:
@@ -205,11 +179,6 @@ def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
 def cdf_eval(d: AnalyticDensity, x: float) -> float:
     """CDF at one point: the one-point case of ``cdf_on_sorted``."""
     return float(cdf_on_sorted(d, np.array([x], dtype=float))[0])
-
-
-def integral_over_support(d: AnalyticDensity) -> float:
-    lo, hi = d.quad_support
-    return quadrature.integrate(lambda t: density_eval(d, t), lo, hi, singularities=d.singular_points)
 
 
 def detection_probability(d: AnalyticDensity) -> float:

@@ -20,6 +20,9 @@ and standard error as rows drawn apart.
 A decay scan maps one run of pure-state w values, chunked as above on
 (seed, _STREAM_DECAY, chunk), and point m averages its first n_m * m in
 groups of m: the points share their draws, each with the law it had alone.
+A chunk draws the Gamma variates of a witness's zero eigenvalues from a
+child of its seed sequence, so the first k values of a run do not depend
+on its length, and a longer scan keeps the rows of a shorter one.
 
 Thread policy
 -------------
@@ -183,7 +186,7 @@ class EmpiricalDistribution:
     k4_std_err: float
     neg_tail: float
     neg_tail_std_err: float
-    samples: np.ndarray | None = field(default=None, repr=False)
+    samples: np.ndarray = field(repr=False)
 
     def cumulant(self, order: int) -> tuple[float, float]:
         table = {2: (self.k2, self.k2_std_err), 3: (self.k3, self.k3_std_err), 4: (self.k4, self.k4_std_err)}
@@ -202,11 +205,7 @@ def _cumulants_from_moments(m2: float, m3: float, m4: float) -> tuple[float, flo
     return m2, m3, m4 - 3 * m2 * m2
 
 
-def empirical_from_samples(
-    samples: np.ndarray,
-    bin_edges: np.ndarray = DEFAULT_W_BINS,
-    keep_samples: bool = True,
-) -> EmpiricalDistribution:
+def empirical_from_samples(samples: np.ndarray, bin_edges: np.ndarray = DEFAULT_W_BINS) -> EmpiricalDistribution:
     """Summarize a sample array (in sampling order, for block jackknife)."""
     x = np.asarray(samples, dtype=np.float64)
     n = len(x)
@@ -259,7 +258,7 @@ def empirical_from_samples(
         k4_std_err=float(jk[2]),
         neg_tail=neg,
         neg_tail_std_err=neg_se,
-        samples=x if keep_samples else None,
+        samples=x,
     )
 
 
@@ -355,7 +354,8 @@ def _mean_and_std_err(vals: np.ndarray) -> tuple[float, float]:
 
 def _w_chunk_task(task) -> np.ndarray:
     (entropy, chunk_idx, count, m, n_a, n_b, spectrum) = task
-    rng = _rng_for(*entropy, chunk_idx)
+    seq = np.random.SeedSequence([*entropy, chunk_idx])
+    rng = np.random.default_rng(seq)
     dim = n_a * n_b
     out = np.empty(count)
 
@@ -371,8 +371,10 @@ def _w_chunk_task(task) -> np.ndarray:
 
     # Haar invariance: <psi|W|psi> = sum_k lam_k E_k / sum_k E_k exactly, with
     # E_k i.i.d. Exp(1) over all n_a n_b eigenvalues of W; the zeros of the
-    # spectrum contribute only their sum, one Gamma(zeros) draw
+    # spectrum contribute only their sum, one Gamma(zeros) draw from a child
+    # stream, so a chunk's exponentials do not depend on its batch lengths
     lam, zeros = spectrum
+    gamma_rng = np.random.default_rng(seq.spawn(1)[0])
     group = max(1, min(count, _MAX_BATCH_VARIATES // (m * len(lam))))
     done = 0
     while done < count:
@@ -380,7 +382,7 @@ def _w_chunk_task(task) -> np.ndarray:
         e = rng.standard_exponential((g * m, len(lam)))
         total = e.sum(axis=1)
         if zeros:
-            total += rng.standard_gamma(zeros, g * m)
+            total += gamma_rng.standard_gamma(zeros, g * m)
         out[done : done + g] = dim * (e @ lam / total).reshape(g, m).mean(axis=1)
         done += g
     return out
@@ -406,11 +408,7 @@ def _w_samples(
     return np.concatenate(_map_ordered(_w_chunk_task, tasks, workers))
 
 
-def run_w_ensemble(
-    config: EnsembleConfig,
-    keep_samples: bool = True,
-    witness: Witness | None = None,
-) -> EmpiricalDistribution:
+def run_w_ensemble(config: EnsembleConfig, witness: Witness | None = None) -> EmpiricalDistribution:
     """Distribution of w over ``samples`` states, each a uniform mixture of
     ``m`` fresh Haar states, measured against one witness drawn from the
     witness spec (or the per-state optimal one).
@@ -427,7 +425,7 @@ def run_w_ensemble(
         (config.seed, _STREAM_W),
         config.workers,
     )
-    return empirical_from_samples(w, DEFAULT_W_BINS, keep_samples=keep_samples)
+    return empirical_from_samples(w, DEFAULT_W_BINS)
 
 
 @dataclass(frozen=True)
@@ -520,13 +518,14 @@ def run_mixture_decay(
 def _pt_state_task(task) -> np.ndarray:
     """PT eigenvalues of ``count`` consecutive states, state i drawn from the
     stream (seed, _STREAM_PT, i), concatenated in state order; one
-    ``mixture_pt_eigenvalues`` call on their stack."""
-    (seed, start, count, m, n_a, n_b, include_diagonal) = task
+    ``mixture_pt_eigenvalues`` call on their stack, without the diagonal
+    values mu_i^2 of a pure state."""
+    (seed, start, count, m, n_a, n_b) = task
     dims = BipartiteDims(n_a, n_b)
     amps = np.stack(
         [sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_PT, i)) for i in range(start, start + count)]
     )
-    return mixture_pt_eigenvalues(amps, dims, include_diagonal).ravel()
+    return mixture_pt_eigenvalues(amps, dims, include_diagonal=False).ravel()
 
 
 def run_pt_spectrum(
@@ -535,16 +534,15 @@ def run_pt_spectrum(
     states: int,
     seed: int = 0,
     workers: int = 1,
-    include_diagonal: bool = False,
 ) -> EmpiricalDistribution:
     """Pooled spectrum of rho^T_B over an ensemble of ``states`` mixtures,
     as the scaled variable y = n_a * lambda.
 
     For pure states (m = 1) the spectrum comes straight from the Schmidt
     coefficients, and the n_a algebraically known "diagonal" eigenvalues
-    mu_i^2 are excluded by default since the off-diagonal law is what the
-    histogram is compared against; for m > 1 the full matrix is solved and
-    nothing is excluded.
+    mu_i^2 are excluded, since the off-diagonal law is what the histogram
+    is compared against; for m > 1 the full matrix is solved and nothing is
+    excluded.
 
     State i always draws from the stream (seed, _STREAM_PT, i), so the
     samples are the same bits for any worker count.  Pure states go to the
@@ -559,7 +557,7 @@ def run_pt_spectrum(
         raise ValueError(f"need at least one state, got {states}")
     per_task = _states_per_batch(dims) if m == 1 else 1
     tasks = [
-        (seed, start, min(per_task, states - start), m, dims.n_a, dims.n_b, include_diagonal)
+        (seed, start, min(per_task, states - start), m, dims.n_a, dims.n_b)
         for start in range(0, states, per_task)
     ]
     parts = _map_ordered(_pt_state_task, tasks, workers)
@@ -759,6 +757,8 @@ def dense_coding_scan(
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     m_list = [int(m) for m in m_list]
+    if not m_list:
+        raise ValueError("need at least one mixture size m")
     bad = [m for m in m_list if m < 1]
     if bad:
         raise ValueError(f"mixture size must be >= 1, got {bad[0]}")

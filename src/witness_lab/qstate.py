@@ -11,14 +11,12 @@ transpose is always taken over subsystem B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 NORM_TOL = 1e-12
-HERM_TOL = 1e-10
-PSD_TOL = 1e-10
 SCHMIDT_RANK_RTOL = 1e-12
 
 
@@ -75,36 +73,19 @@ class PureState:
 
 @dataclass(frozen=True)
 class MixedState:
-    """Density operator, stored as a uniform mixture of pure states and/or an
-    explicit Hermitian matrix.
+    """Uniform mixture of the pure states ``components``, m of them.
 
-    The pure-component list is kept whenever available so that expectation
-    values can be evaluated component-wise without materializing the full
-    matrix (which is quadratically larger).  ``m`` is the number of mixture
-    components; it is None for states constructed directly from a matrix.
+    Expectation values are evaluated component-wise, without materializing
+    the full matrix (which is quadratically larger).
     """
 
     dims: BipartiteDims
-    components: tuple[PureState, ...] | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False)
+    components: tuple[PureState, ...]
 
     def __post_init__(self) -> None:
-        if self.components is None and self.matrix is None:
-            raise ValueError("MixedState needs pure components or an explicit matrix")
-        if self.components is not None:
-            for st in self.components:
-                if st.dims != self.dims:
-                    raise ValueError("component dims mismatch")
-        if self.matrix is not None:
-            mat = np.asarray(self.matrix, dtype=np.complex128)
-            d = self.dims.total
-            if mat.shape != (d, d):
-                raise ValueError(f"expected {d}x{d} matrix, got {mat.shape}")
-            if np.abs(mat - mat.conj().T).max() > 1e-12:
-                raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(mat).real - 1.0) > 1e-12:
-                raise ValueError("density matrix trace differs from 1")
-            object.__setattr__(self, "matrix", _frozen_array(mat))
+        for st in self.components:
+            if st.dims != self.dims:
+                raise ValueError("component dims mismatch")
 
     @classmethod
     def from_components(cls, states: "list[PureState] | tuple[PureState, ...]") -> "MixedState":
@@ -113,35 +94,17 @@ class MixedState:
             raise ValueError("need at least one pure component")
         return cls(dims=states[0].dims, components=states)
 
-    @classmethod
-    def from_matrix(cls, dims: BipartiteDims, matrix: np.ndarray) -> "MixedState":
-        state = cls(dims=dims, matrix=matrix)
-        lo = float(np.linalg.eigvalsh(state.matrix)[0])
-        if lo < -PSD_TOL:
-            raise ValueError(f"density matrix is not PSD: min eigenvalue {lo:.3e}")
-        return state
-
     @property
-    def m(self) -> int | None:
-        return len(self.components) if self.components is not None else None
+    def m(self) -> int:
+        return len(self.components)
 
     @cached_property
     def _materialized(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
         return _frozen_array(mixture_density(np.stack([st.amplitudes for st in self.components])))
 
     def to_matrix(self) -> np.ndarray:
         """Explicit density matrix; materialized lazily and cached."""
         return self._materialized
-
-    def purity(self) -> float:
-        if self.components is not None:
-            v = np.stack([st.amplitudes for st in self.components])
-            gram = v.conj() @ v.T
-            return float(np.sum(np.abs(gram) ** 2).real) / len(self.components) ** 2
-        rho = self.to_matrix()
-        return float(np.trace(rho @ rho).real)
 
 
 @dataclass(frozen=True)
@@ -158,16 +121,6 @@ class SchmidtDecomposition:
     def probabilities(self) -> np.ndarray:
         """Squared coefficients, i.e. the eigenvalues of the reduced state."""
         return self.coefficients**2
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-    min_eigenvalue: float
-    min_eigenvector: np.ndarray | None
 
 
 def sample_random_pure(dims: BipartiteDims, rng: np.random.Generator) -> PureState:
@@ -198,18 +151,6 @@ def mix_random_states(dims: BipartiteDims, m: int, rng: np.random.Generator) -> 
     return MixedState.from_components([PureState(dims, a) for a in amps])
 
 
-def sample_product_density(dims: BipartiteDims, rng: np.random.Generator) -> np.ndarray:
-    """Random separable product state rho_A (x) rho_B (full-rank Wishart
-    factors).  Useful as a PPT / witness-positivity probe."""
-
-    def _rand_density(n: int) -> np.ndarray:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        rho = g @ g.conj().T
-        return rho / np.trace(rho).real
-
-    return np.kron(_rand_density(dims.n_a), _rand_density(dims.n_b))
-
-
 def schmidt(state: PureState) -> SchmidtDecomposition:
     """Schmidt decomposition via SVD of the amplitude matrix.
 
@@ -224,13 +165,6 @@ def schmidt(state: PureState) -> SchmidtDecomposition:
         basis_b=_frozen_array(vh),
         rank=rank,
     )
-
-
-def schmidt_coefficients(amplitude_matrix: np.ndarray) -> np.ndarray:
-    """Singular values of an (n_a, n_b) amplitude matrix, nonincreasing; of
-    each matrix of a (k, n_a, n_b) stack with one batched SVD, which gives
-    every matrix the bits it gets alone."""
-    return np.linalg.svd(amplitude_matrix, compute_uv=False)
 
 
 def schmidt_pt_eigenvalues(mu: np.ndarray, include_diagonal: bool = True) -> np.ndarray:
@@ -259,23 +193,11 @@ def partial_trace_b(obj, dims: BipartiteDims | None = None) -> np.ndarray:
     if isinstance(obj, PureState):
         a = obj.matrix
         return a @ a.conj().T
-    if isinstance(obj, MixedState) and obj.components is not None:
+    if isinstance(obj, MixedState):
         mats = np.stack([st.matrix for st in obj.components])
         return np.einsum("kab,kcb->ac", mats, mats.conj()) / len(mats)
     rho, d = _as_density(obj, dims)
     return np.einsum("iaja->ij", rho.reshape(d.n_a, d.n_b, d.n_a, d.n_b))
-
-
-def partial_trace_a(obj, dims: BipartiteDims | None = None) -> np.ndarray:
-    """Reduced state on B: (rho_B)_ab = sum_i rho_{i a, i b}."""
-    if isinstance(obj, PureState):
-        a = obj.matrix
-        return a.T @ a.conj()
-    if isinstance(obj, MixedState) and obj.components is not None:
-        mats = np.stack([st.matrix for st in obj.components])
-        return np.einsum("kab,kac->bc", mats, mats.conj()) / len(mats)
-    rho, d = _as_density(obj, dims)
-    return np.einsum("iaib->ab", rho.reshape(d.n_a, d.n_b, d.n_a, d.n_b))
 
 
 def partial_transpose_b(obj, dims: BipartiteDims | None = None) -> np.ndarray:
@@ -287,36 +209,6 @@ def partial_transpose_b(obj, dims: BipartiteDims | None = None) -> np.ndarray:
     rho, d = _as_density(obj, dims)
     r = rho.reshape(d.n_a, d.n_b, d.n_a, d.n_b)
     return r.transpose(0, 3, 2, 1).reshape(d.total, d.total)
-
-
-def hermitian_spectrum(matrix: np.ndarray, want_vectors: bool = True) -> Spectrum:
-    """Full spectrum of a Hermitian matrix, ascending.
-
-    The input must be Hermitian within ``HERM_TOL`` (it is symmetrized as
-    (A + A^dagger)/2 before solving); anything worse is rejected.
-    """
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    dev = float(np.abs(mat - mat.conj().T).max())
-    if dev > HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
-    herm = (mat + mat.conj().T) / 2
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(herm)
-        return Spectrum(
-            eigenvalues=_frozen_array(vals),
-            eigenvectors=_frozen_array(vecs),
-            min_eigenvalue=float(vals[0]),
-            min_eigenvector=_frozen_array(vecs[:, 0]),
-        )
-    vals = np.linalg.eigvalsh(herm)
-    return Spectrum(
-        eigenvalues=_frozen_array(vals),
-        eigenvectors=None,
-        min_eigenvalue=float(vals[0]),
-        min_eigenvector=None,
-    )
 
 
 def mixture_density(amps: np.ndarray) -> np.ndarray:
@@ -357,7 +249,8 @@ def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims, include_diagon
     """
     *stack, m, d = amps.shape
     if m == 1:
-        mu = schmidt_coefficients(amps.reshape(*stack, dims.n_a, dims.n_b))
+        # one batched SVD gives every matrix the bits it gets alone
+        mu = np.linalg.svd(amps.reshape(*stack, dims.n_a, dims.n_b), compute_uv=False)
         return schmidt_pt_eigenvalues(mu, include_diagonal)
     spectra = [np.linalg.eigvalsh(partial_transpose_b(mixture_density(a), dims)) for a in amps.reshape(-1, m, d)]
     return np.reshape(spectra, (*stack, d))

@@ -3,15 +3,14 @@
 Refinement always bisects the panel with the largest error estimate until
 the summed estimate meets the tolerance, so integrable endpoint
 singularities cost a geometric cascade of panels instead of an exponential
-tree.  Known interior singularities are pre-split with a small offset
-(1e-6); the Kronrod nodes are interior, so the integrand is never evaluated
-at the singular point itself.
+tree.  The Kronrod nodes are interior, so the integrand is never evaluated
+at an endpoint; a caller splits the domain at an interior singularity.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 import numpy as np
 
@@ -45,7 +44,6 @@ _WG = (
 )
 
 DEFAULT_TOL = 1e-9
-_SINGULARITY_OFFSET = 1e-6
 _MAX_PANELS = 4096
 # gaps per vectorised panel evaluation in ``cumulative``; bounds the memory
 # of the sweep (15 nodes and the AGM's work arrays per gap)
@@ -80,46 +78,28 @@ def _gk15(f_nodes: Callable, a, b):
     return fk * half, abs(fk - fg) * half
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    singularities: Iterable[float] = (),
-) -> float:
+def integrate(f: Callable[[float], float], a: float, b: float) -> float:
     """Integrate ``f`` over [a, b] to absolute tolerance ``DEFAULT_TOL``.
 
-    ``singularities`` lists points where the integrand may blow up
-    (integrably); the domain is pre-split there with a small offset.
     Raises ``ArithmeticError`` when ``_MAX_PANELS`` panels do not reach
     the tolerance.
     """
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, singularities=singularities)
-    return _adaptive(lambda xs: [f(x) for x in xs], a, b, singularities)
+        return -integrate(f, b, a)
+    return _adaptive(lambda xs: [f(x) for x in xs], a, b)
 
 
-def _adaptive(f_nodes: Callable, a: float, b: float, singularities: Iterable[float]) -> float:
-    """``integrate``'s panel loop on a < b, with ``f_nodes`` as in
-    ``_gk15``."""
-    cuts = [a, b]
-    for s in singularities:
-        for point in (s - _SINGULARITY_OFFSET, s, s + _SINGULARITY_OFFSET):
-            if a < point < b:
-                cuts.append(point)
-    cuts = sorted(set(cuts))
-
+def _adaptive(f_nodes: Callable, a: float, b: float) -> float:
+    """``integrate``'s panel loop on a < b, from the single panel [a, b],
+    with ``f_nodes`` as in ``_gk15``."""
     min_width = 1e-15 * (b - a)
-    heap: list[tuple[float, int, float, float, float]] = []  # (-err, id, lo, hi, val)
+    val, err = _gk15(f_nodes, a, b)
+    heap: list[tuple[float, int, float, float, float]] = [(-err, 0, a, b, val)]  # (-err, id, lo, hi, val)
     frozen: list[tuple[float, float]] = []  # (lo, val) of panels we stop touching
-    counter = 0
-    total_err = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, err = _gk15(f_nodes, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val))
-        counter += 1
-        total_err += err
+    counter = 1
+    total_err = err
 
     while total_err > DEFAULT_TOL and heap:
         if counter >= _MAX_PANELS:
@@ -175,7 +155,7 @@ def cumulative(f: Callable[[np.ndarray], np.ndarray], start: float, points) -> n
         block = slice(i, i + _SWEEP_BLOCK)
         vals[block], errs[block] = _gk15(f_nodes, a[block], b[block])
     for j in np.flatnonzero(errs > DEFAULT_TOL):
-        vals[j] = _adaptive(f_nodes, a[j], b[j], ())
+        vals[j] = _adaptive(f_nodes, a[j], b[j])
     gaps = np.zeros(len(points) + 1)
     gaps[live + 1] = vals
     return np.cumsum(gaps)[1:]

@@ -18,7 +18,6 @@ from .qstate import (
     BipartiteDims,
     MixedState,
     PureState,
-    hermitian_spectrum,
     partial_transpose_b,
     pure_pt_eigenvalues,
     sample_random_pure_batch,
@@ -81,7 +80,7 @@ class WitnessSample(NamedTuple):
 
     w: float
     raw: float
-    m: int | None
+    m: int
 
 
 class WitnessSpectrum(NamedTuple):
@@ -166,24 +165,17 @@ def pt_quadratic_form_batch(phi_matrix: np.ndarray, psi_matrices: np.ndarray) ->
 def expectation(witness: Witness, state: "PureState | MixedState") -> WitnessSample:
     """tr(W rho), rescaled by n_a * n_b.
 
-    A pure state and a list-form mixture stack their component matrices and
+    The components of the state (a pure state is its own) are stacked and
     take one ``pt_quadratic_form_batch`` call per witness vector, averaged
-    over the components; explicit matrices go through the partial transpose
-    (tr(Q^T_B rho) = tr(Q rho^T_B)).
+    over the components.
     """
     if state.dims != witness.dims:
         raise ValueError(f"dims mismatch: witness {witness.dims}, state {state.dims}")
     pairs = zip(witness.q_weights, witness.q_vectors)
     components = (state,) if isinstance(state, PureState) else state.components
-    if components is not None:
-        psis = np.stack([st.matrix for st in components])
-        raw = sum(float(d * pt_quadratic_form_batch(phi.matrix, psis).mean()) for d, phi in pairs)
-        m = len(components)
-    else:
-        rho_tb = partial_transpose_b(state.to_matrix(), state.dims)
-        raw = sum(float(d * np.vdot(phi.amplitudes, rho_tb @ phi.amplitudes).real) for d, phi in pairs)
-        m = state.m
-    return WitnessSample(w=witness.dims.total * raw, raw=raw, m=m)
+    psis = np.stack([st.matrix for st in components])
+    raw = sum(float(d * pt_quadratic_form_batch(phi.matrix, psis).mean()) for d, phi in pairs)
+    return WitnessSample(w=witness.dims.total * raw, raw=raw, m=len(components))
 
 
 def witness_spectrum(witness: Witness) -> WitnessSpectrum:
@@ -214,7 +206,7 @@ def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
     For a pure state sum_i mu_i |a_i b_i> the answer is closed form:
     lambda_min = -mu_1 mu_2 with eigenvector (|a_1 b_2*> - |a_2 b_1*>)/sqrt(2),
     where b* is the complex conjugate of b.  Mixed states take a dense
-    eigensolve.
+    eigensolve; their rho^T_B is exactly Hermitian (see ``mixture_density``).
     """
     if isinstance(state, PureState):
         sd = schmidt(state)
@@ -222,9 +214,8 @@ def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
         vec = (np.kron(a[0], b[1]) - np.kron(a[1], b[0])) / np.sqrt(2.0)
         lam_min = -float(sd.coefficients[0] * sd.coefficients[1])
     else:
-        rho_tb = partial_transpose_b(state.to_matrix(), state.dims)
-        spec = hermitian_spectrum(rho_tb, want_vectors=True)
-        vec, lam_min = spec.min_eigenvector, spec.min_eigenvalue
+        vals, vecs = np.linalg.eigh(partial_transpose_b(state.to_matrix(), state.dims))
+        vec, lam_min = vecs[:, 0], float(vals[0])
     w = witness_from_vector(PureState(state.dims, vec))
     return OptimalWitnessResult(witness=w, lambda_min=lam_min, ppt=lam_min >= 0)
 

@@ -1,13 +1,53 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate
 
+from witness_lab.analytic import AnalyticDensity, density_eval
 from witness_lab.ensemble import EnsembleConfig, WitnessSpec, empirical_from_samples, run_w_ensemble
-from witness_lab.qstate import BipartiteDims
+from witness_lab.qstate import BipartiteDims, MixedState, PureState
 from witness_lab.witness import sample_w_overlap_model
 
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def product_density(dims: BipartiteDims, r: np.random.Generator) -> np.ndarray:
+    """Random separable product state rho_A (x) rho_B with full-rank Wishart
+    factors: a PPT / witness-positivity probe."""
+
+    def _rand_density(n: int) -> np.ndarray:
+        g = r.standard_normal((n, n)) + 1j * r.standard_normal((n, n))
+        rho = g @ g.conj().T
+        return rho / np.trace(rho).real
+
+    return np.kron(_rand_density(dims.n_a), _rand_density(dims.n_b))
+
+
+def maximally_mixed(dims: BipartiteDims) -> MixedState:
+    """I/d as the uniform mixture of the d basis vectors (exactly I/d when
+    d is a power of two)."""
+    return MixedState.from_components([PureState(dims, e) for e in np.eye(dims.total)])
+
+
+def law_interval(d: AnalyticDensity) -> tuple[float, float]:
+    """The support of a law, or for an unbounded one a finite interval that
+    carries all but a negligible (< 1e-15) tail mass."""
+    if d.kind == "gauss_width":
+        half = 12.0 / math.sqrt(d.k)
+        return (1.0 - half, 1.0 + half)
+    return {"rank2": (-25.0, 45.0), "pt_eigs": (-4.0, 4.0), "marcenko_pastur": (0.0, 4.0)}[d.kind]
+
+
+def total_mass(d: AnalyticDensity) -> float:
+    """Integral of a law's density over ``law_interval`` by scipy's adaptive
+    quadrature, split at 0, where the rank-2 law has a kink and the PT and
+    Marcenko-Pastur laws diverge."""
+    lo, hi = law_interval(d)
+    pieces = [(a, b) for a, b in ((lo, 0.0), (0.0, hi)) if a < b]
+    return sum(integrate.quad(lambda t: density_eval(d, t), a, b, limit=200, epsabs=1e-13)[0] for a, b in pieces)
 
 
 def rank2_overlap_distribution(lam: float, samples: int, generator: np.random.Generator):

@@ -27,13 +27,12 @@ from witness_lab.qstate import (
     BipartiteDims,
     ghz_state,
     partial_transpose_b,
-    sample_product_density,
     sample_random_pure,
     schmidt,
 )
 from witness_lab.witness import expectation, optimal_witness, witness_from_vector
 
-from conftest import rng
+from conftest import product_density, rng, total_mass
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -98,7 +97,7 @@ def test_c04_rank_k_width():
             seed=0,
             workers=2,
         )
-        dist = run_w_ensemble(cfg, keep_samples=False)
+        dist = run_w_ensemble(cfg)
         ok = ok and abs(dist.variance - 1.0 / k) < 0.05 / k
         details.append(f"k={k}: var = {dist.variance:.5f} (need {1 / k:.5f} +- 5%)")
     assert report("04 rank-k width", ok, "; ".join(details))
@@ -223,20 +222,20 @@ def test_c11_property_suites():
     # witness nonnegativity on separable product states
     dims = BipartiteDims(4, 4)
     w = witness_from_vector(sample_random_pure(dims, r)).to_matrix()
-    if any(np.trace(w @ sample_product_density(dims, r)).real < -1e-10 for _ in range(100)):
+    if any(np.trace(w @ product_density(dims, r)).real < -1e-10 for _ in range(100)):
         failures.append("witness positivity")
 
     # pure-state PT spectrum identity {+-mu_i mu_j} U {mu_i^2}
-    from witness_lab.qstate import hermitian_spectrum, pure_pt_eigenvalues
+    from witness_lab.qstate import pure_pt_eigenvalues
 
     psi = sample_random_pure(dims, r)
-    spec = hermitian_spectrum(partial_transpose_b(psi.density_matrix(), dims), want_vectors=False)
-    if np.abs(spec.eigenvalues - pure_pt_eigenvalues(psi)).max() > 1e-9:
+    eigenvalues = np.linalg.eigvalsh(partial_transpose_b(psi.density_matrix(), dims))
+    if np.abs(eigenvalues - pure_pt_eigenvalues(psi)).max() > 1e-9:
         failures.append("PT spectrum identity")
 
     # closed-form density normalizations
     for dens in (gauss_width(1.0), gauss_width(4), rank2_density(0.3), pt_eigs(), analytic.marcenko_pastur()):
-        if abs(analytic.integral_over_support(dens) - 1.0) > 1e-6:
+        if abs(total_mass(dens) - 1.0) > 1e-6:
             failures.append(f"normalization {dens.kind}")
 
     # determinism under varying worker counts

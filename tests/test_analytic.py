@@ -15,14 +15,13 @@ from witness_lab.analytic import (
     detection_probability,
     detection_probability_asymptotic,
     gauss_width,
-    integral_over_support,
     marcenko_pastur,
     pt_eigs,
     rank2,
 )
 from witness_lab.ensemble import ks_statistic
 
-from conftest import rank2_overlap_distribution, rng
+from conftest import law_interval, rank2_overlap_distribution, rng, total_mass
 
 # gauss_width(1) carries the id of the former gauss_unit case, so the test
 # ids stay stable
@@ -70,7 +69,7 @@ class TestDensities:
             # a sweep adds its integral gap by gap, a lone point takes one
             # gap, and cdf_eval is exactly 0 and 1 at and beyond the edges
             np.testing.assert_allclose(cdf_on_sorted(d, xs), pointwise, rtol=0, atol=1e-8)
-            lo, hi = d.support
+            lo, hi = -4.0, 4.0
             assert {cdf_eval(d, x) for x in xs if x <= lo} == {0.0}
             assert {cdf_eval(d, x) for x in xs if x >= hi} == {1.0}
         else:
@@ -115,18 +114,18 @@ class TestDensities:
 
     @pytest.mark.parametrize("dens", ALL_KINDS, ids=lambda d: f"{d.kind}-{d.lam}-{d.k}")
     def test_normalization(self, dens):
-        assert integral_over_support(dens) == pytest.approx(1.0, abs=1e-6)
+        assert total_mass(dens) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("dens", ALL_KINDS, ids=lambda d: f"{d.kind}-{d.lam}-{d.k}")
     def test_nonnegative_on_support(self, dens):
-        lo, hi = dens.quad_support
+        lo, hi = law_interval(dens)
         for x in np.linspace(lo, hi, 201):
             assert density_eval(dens, float(x)) >= 0.0
 
     def test_gauss_width_second_moment(self):
         for k in (4.0, 16.0):
             d = gauss_width(k)
-            lo, hi = d.quad_support
+            lo, hi = law_interval(d)
             from witness_lab.quadrature import integrate
 
             m2 = integrate(lambda x: (x - 1.0) ** 2 * density_eval(d, x), lo, hi)
@@ -163,7 +162,7 @@ class TestCdf:
         # |y|/4 itself: the parameter 1 - y^2/16 drops the low bits of
         # y^2/16 and rounds to 1 for |y| below 3e-8
         d = pt_eigs()
-        assert abs(integral_over_support(d) - 1.0) < 1e-9
+        assert abs(total_mass(d) - 1.0) < 1e-9
         assert abs(cdf_eval(d, 0.0) - 0.5) < 1e-9
 
 

@@ -186,6 +186,7 @@ class TestScans:
             (["lmin", "--dims-list", "4", "4", "--m-list", "2"], "dimension N 4 is repeated"),
             (["lmin", "--dims-list", "4", "--m-list", "2,2"], "mixture size m 2 is repeated"),
             (["densecoding", "--dims", "4", "4", "--m-list", "2,2"], "mixture size m 2 is repeated"),
+            (["densecoding", "--dims", "4", "4", "--m-list", ","], "need at least one mixture size m"),
         ],
     )
     def test_bad_scan_grid_errors_and_leaves_no_outputs(self, tmp_path, capsys, args, message):
@@ -298,3 +299,13 @@ class TestCoreCountIndependence:
             subprocess.run(cmd, env=env, check=True, timeout=300)
             data[threads] = [file_bytes(out / f) for f in outputs]
         assert data["1"] == data["2"]
+
+
+def test_cli_import_loads_no_test_only_package():
+    # the runtime needs only numpy and the standard library; scipy,
+    # hypothesis and pytest serve the test suite's oracles, and mpmath none
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, witness_lab.cli; print([m for m in ('scipy', 'hypothesis', 'pytest', 'mpmath') if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert run.stdout.strip() == "[]"

@@ -27,7 +27,6 @@ from witness_lab.ensemble import (
 from witness_lab.ensemble import _STREAM_LMIN, _monotone_in_m, _rng_for
 from witness_lab.qstate import (
     BipartiteDims,
-    MixedState,
     mix_random_states,
     mixture_density,
     mixture_pt_eigenvalues,
@@ -36,7 +35,7 @@ from witness_lab.qstate import (
 )
 from witness_lab.witness import pt_quadratic_form_batch, witness_spectrum
 
-from conftest import rank2_overlap_distribution, rng
+from conftest import maximally_mixed, rank2_overlap_distribution, rng
 
 
 def _pure_pt_reference(amps: np.ndarray, dims: BipartiteDims, include_diagonal: bool) -> np.ndarray:
@@ -286,6 +285,16 @@ class TestSpectralSampler:
         assert abs(dist.mean - 1.0) < 5 * dist.mean_std_err
         assert abs(dist.variance - var) < 5 * dist.k2_std_err
 
+    def test_a_longer_run_extends_a_shorter_one(self):
+        # 4 nonzero and 60 zero eigenvalues: a chunk of up to 16,384 samples
+        # is one batch, so its Gamma(60) draws must not share the stream of
+        # its exponentials for the first 1000 values to keep their bits
+        dims = BipartiteDims(8, 8)
+        spectrum = witness_spectrum(derive_witness(EnsembleConfig(dims, 1, witness_spec=WitnessSpec.parse("rank2:0.3"))))
+        assert (len(spectrum.nonzero), spectrum.zeros) == (4, 60)
+        short, long = (ensemble._w_samples(dims, n, 1, spectrum, (0, ensemble._STREAM_W), 1) for n in (1000, 1001))
+        assert np.array_equal(long[:1000], short)
+
 
 class TestRankKGaussianity:
     def test_ks_report_for_moderate_ranks(self):
@@ -317,18 +326,16 @@ class TestPtSpectrum:
         assert frac_outside <= 1e-3
         assert dist.sample_count == 10 * 32 * 31
 
-    @pytest.mark.parametrize("include_diagonal", [False, True])
-    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (16, 16)])
-    def test_chunks_equal_a_per_state_loop(self, shape, include_diagonal):
+    # ids as when the diagonal was a parameter, so they stay stable
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (16, 16)], ids=["shape0-False", "shape1-False", "shape2-False"])
+    def test_chunks_equal_a_per_state_loop(self, shape):
         # 300 states at 16 x 16 are three chunks (128, 128, 44)
         dims = BipartiteDims(*shape)
-        dist = run_pt_spectrum(dims, m=1, states=300, seed=21, include_diagonal=include_diagonal)
+        dist = run_pt_spectrum(dims, m=1, states=300, seed=21)
         want = np.concatenate(
             [
                 _pure_pt_reference(
-                    sample_random_pure_batch(dims, 1, ensemble._rng_for(21, ensemble._STREAM_PT, i))[0],
-                    dims,
-                    include_diagonal,
+                    sample_random_pure_batch(dims, 1, ensemble._rng_for(21, ensemble._STREAM_PT, i))[0], dims, False
                 )
                 for i in range(300)
             ]
@@ -354,17 +361,6 @@ class TestPtSpectrum:
         assert pools == []  # one chunk of 20 states runs in-process
         run_pt_spectrum(BipartiteDims(16, 16), m=1, states=300, seed=23, workers=2)
         assert len(pools) == 1
-
-    def test_diagonal_block_inclusion(self):
-        dims = BipartiteDims(8, 8)
-        with_diag = run_pt_spectrum(dims, m=1, states=3, seed=14, include_diagonal=True)
-        without = run_pt_spectrum(dims, m=1, states=3, seed=14)
-        assert with_diag.sample_count == without.sample_count + 3 * 8
-        # diagonal values are positive, so the negative half is unchanged
-        assert np.array_equal(
-            np.sort(with_diag.samples[with_diag.samples < 0]),
-            np.sort(without.samples[without.samples < 0]),
-        )
 
     def test_mixture_spectrum_tightens(self):
         dims = BipartiteDims(8, 8)
@@ -595,9 +591,15 @@ class TestMixtureDecay:
         assert one.metadata == two.metadata
 
     def test_longer_scan_keeps_the_rows_of_a_shorter_one(self):
-        # the random witness has no zero eigenvalue, so the shorter pool is a
-        # prefix of the longer one bit for bit
+        # the shorter pool is a prefix of the longer one bit for bit
         shorter, longer = self._scan(1, m_max=3), self._scan(1, m_max=4)
+        assert longer.rows[:3] == shorter.rows
+
+    def test_longer_scan_keeps_the_rows_with_zero_eigenvalues(self):
+        # rank2:0.3 at 8 x 8 has 60 zero eigenvalues; at base 3001 the last
+        # chunks of the two pools (27,009 and 48,016 samples) differ in length
+        spec = WitnessSpec.parse("rank2:0.3")
+        shorter, longer = (run_mixture_decay(self.DIMS, m_max, 3001, seed=4, witness_spec=spec) for m_max in (3, 4))
         assert longer.rows[:3] == shorter.rows
 
 
@@ -611,7 +613,7 @@ class TestDenseCoding:
 
     def test_maximally_mixed_margin(self):
         dims = BipartiteDims(8, 8)
-        st = MixedState.from_matrix(dims, np.eye(dims.total) / dims.total)
+        st = maximally_mixed(dims)
         res = dense_coding_usable(st)
         assert not res.usable
         assert res.margin_bits == pytest.approx(-math.log2(8), abs=1e-9)
@@ -623,6 +625,10 @@ class TestDenseCoding:
     def test_rejects_repeated_m(self):
         with pytest.raises(ValueError, match="mixture size m 2 is repeated"):
             dense_coding_scan(BipartiteDims(4, 4), [2, 3, 2], repetitions=1)
+
+    def test_rejects_an_empty_m_list(self):
+        with pytest.raises(ValueError, match="need at least one mixture size m"):
+            dense_coding_scan(BipartiteDims(4, 4), [], repetitions=1)
 
     def test_margin_crosses_zero_near_m_equals_n(self):
         dims = BipartiteDims(16, 16)
