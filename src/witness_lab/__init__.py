@@ -9,7 +9,7 @@ rescaled statistic w, an elliptic-integral law and the Marcenko-Pastur law
 for spectra).
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .qstate import (
     BipartiteDims,

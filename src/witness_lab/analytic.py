@@ -10,9 +10,10 @@ Marcenko-Pastur law for scaled reduced-density eigenvalues tau = N*mu^2.
 
 Each law has one array pdf and one array cdf (``density_on_array``,
 ``cdf_on_sorted``); ``density_eval`` and ``cdf_eval`` are their one-point
-cases.  Every CDF but the elliptic law's is in closed form; that one takes
-a quadrature sweep.  The module holds only what the subcommands evaluate;
-the test suite integrates the densities with its own oracles.
+cases.  The Gaussian, rank-2 and Marcenko-Pastur CDFs are closed forms; the
+elliptic law's is two convergent power series, summed elementwise.  The
+module holds only what the subcommands evaluate; the test suite integrates
+the densities with its own oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
 from .special import _agm_ke, erfc
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -122,6 +122,54 @@ def _pt_eigs_pdf(y):
     return np.where(inside, np.maximum(val, 0.0), 0.0)
 
 
+def _pt_cdf_series() -> tuple[list[float], list[float], list[float]]:
+    """Coefficients (c, b, g) of the two series of G(k) = int_0^{4k} p, the
+    mass of the elliptic law on [0, 4k], k in [0, 1]:
+
+        G = k [ln(1/k) sum_j c_j k^2j + sum_j b_j k^2j]   (k^2 <= 1/2)
+        G = 1/2 - m sum_n g_n m^n, m = 1 - k^2            (k^2 > 1/2)
+
+    With y = 4t, G = (8/pi^2) int_0^k [(1 + t^2) K(1 - t^2) - 2 E(1 - t^2)] dt.
+    The first series integrates, term by term, the expansions of K and E
+    about parameter 1 (DLMF 19.12.1-2), with a_n = (1/2)_n / n! and
+    d_n = psi(n + 1) - psi(n + 1/2).  The second integrates their Maclaurin
+    series (DLMF 19.5.1-2) times dt = -dm / (2 sqrt(1 - m)), whose series has
+    the coefficients a_n again.  At k^2 = 1/2 the terms past the 50th add
+    less than 2e-18 to either series."""
+    n_terms = 50
+    a = [1.0]
+    d = [2.0 * math.log(2.0)]
+    for n in range(1, n_terms):
+        a.append(a[-1] * (n - 0.5) / n)
+        d.append(d[-1] + 1.0 / n - 1.0 / (n - 0.5))
+    # coefficients of t^2j ln(1/t) (alpha) and t^2j (beta) in (1 + t^2) K - 2 E
+    alpha = [1.0] + [(a[j - 1] - a[j]) ** 2 for j in range(1, n_terms)]
+    beta = [d[0] - 2.0] + [
+        a[j] ** 2 * d[j] + a[j - 1] ** 2 * d[j - 1] - 2.0 * a[j - 1] * a[j] * (d[j - 1] - 1.0 / ((2 * j - 1) * 2 * j))
+        for j in range(1, n_terms)
+    ]
+    scale = 8.0 / math.pi**2
+    c = [scale * alpha[j] / (2 * j + 1) for j in range(n_terms)]
+    b = [scale * (alpha[j] / (2 * j + 1) + beta[j]) / (2 * j + 1) for j in range(n_terms)]
+    # coefficients of m^n in ((1 + t^2) K - 2 E) / (pi / 2), then times 1 / sqrt(1 - m)
+    gamma = [0.0] + [4 * n * a[n] ** 2 / (2 * n - 1) - a[n - 1] ** 2 for n in range(1, n_terms)]
+    e = [sum(gamma[i] * a[n - i] for i in range(n + 1)) for n in range(n_terms)]
+    g = [2.0 / math.pi * e[n] / (n + 1) for n in range(n_terms)]
+    return c, b, g
+
+
+_PT_C, _PT_B, _PT_G = _pt_cdf_series()
+
+
+def _horner(coefs: list[float], x: np.ndarray) -> np.ndarray:
+    """sum_n coefs[n] x^n by Horner's rule, elementwise."""
+    out = np.full_like(x, coefs[-1])
+    for coef in coefs[-2::-1]:
+        out *= x
+        out += coef
+    return out
+
+
 def _marcenko_pastur_pdf(tau):
     """Marcenko-Pastur law of tau = N*mu^2; acts elementwise on arrays."""
     tau = np.asarray(tau, dtype=float)
@@ -151,15 +199,14 @@ def density_eval(d: AnalyticDensity, x: float) -> float:
 
 
 def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
-    """CDF at an ascending array of points: the Gaussian, rank-2 and
-    Marcenko-Pastur closed forms elementwise, and one cumulative quadrature
-    sweep for the PT law instead of one integral per point.
+    """CDF at an array of points, elementwise, so each point gets the bits
+    ``cdf_eval`` gives it alone; the points need not be sorted.
 
     The Marcenko-Pastur CDF is (2 theta + sin 2 theta) / pi with
     tau = 4 sin^2 theta, exactly 0 and 1 at and beyond 0 and 4.  The PT law
-    is even, so F(y) = 1/2 + sgn(y) * int_0^|y| p: its sweep runs from 0
-    over the distinct |y|, where the two eigenvalues +-mu_i mu_j of a pure
-    state share one gap, and F is exactly 0 and 1 at and beyond -4 and 4."""
+    is even, so F(y) = 1/2 + sgn(y) G(k) with k = min(|y|, 4) / 4 and G the
+    series of ``_pt_cdf_series``; F is exactly 1/2 at 0, where G = 0, and
+    0 and 1 at and beyond -4 and 4, where G = 1/2."""
     xs = np.asarray(xs, dtype=float)
     with np.errstate(under="ignore"):
         if d.kind == GAUSS_WIDTH:
@@ -169,11 +216,12 @@ def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
     if d.kind == MARCENKO_PASTUR:
         theta = np.arcsin(np.sqrt(np.clip(xs, 0.0, 4.0)) / 2.0)
         return (2.0 * theta + np.sin(2.0 * theta)) / math.pi
-    half, where = np.unique(np.minimum(np.abs(xs), 4.0), return_inverse=True)
-    out = 0.5 + np.sign(xs) * quadrature.cumulative(_pt_eigs_pdf, 0.0, half)[where]
-    out[xs <= -4.0] = 0.0
-    out[xs >= 4.0] = 1.0
-    return out
+    k = np.minimum(np.abs(xs), 4.0) / 4.0
+    k2, m = k * k, (1.0 - k) * (1.0 + k)
+    # k = 0 is moved to the smallest normal double, where k ln(1/k) is 0
+    log_inv_k = -np.log(np.maximum(k, np.finfo(float).tiny))
+    near_zero = k * (log_inv_k * _horner(_PT_C, k2) + _horner(_PT_B, k2))
+    return 0.5 + np.sign(xs) * np.where(k2 <= 0.5, near_zero, 0.5 - m * _horner(_PT_G, m))
 
 
 def cdf_eval(d: AnalyticDensity, x: float) -> float:

@@ -691,7 +691,7 @@ class DenseCodingResult:
 def dense_coding_usable(state: MixedState) -> DenseCodingResult:
     """Dense-coding criterion S(rho_A) - S(rho) > 0, with the margin in
     bits."""
-    s_a = von_neumann_entropy(partial_trace_b(state), state.dims)
+    s_a = von_neumann_entropy(partial_trace_b(state))
     s_full = von_neumann_entropy(state.to_matrix())
     margin = s_a - s_full
     return DenseCodingResult(usable=margin > 0, margin_bits=margin)

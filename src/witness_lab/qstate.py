@@ -178,16 +178,6 @@ def schmidt_pt_eigenvalues(mu: np.ndarray, include_diagonal: bool = True) -> np.
     return np.concatenate(parts, axis=-1)
 
 
-def _as_density(obj, dims: BipartiteDims | None) -> tuple[np.ndarray, BipartiteDims]:
-    if isinstance(obj, PureState):
-        return obj.density_matrix(), obj.dims
-    if isinstance(obj, MixedState):
-        return obj.to_matrix(), obj.dims
-    if dims is None:
-        raise ValueError("dims are required when passing a bare matrix")
-    return np.asarray(obj, dtype=np.complex128), dims
-
-
 def partial_trace_b(obj, dims: BipartiteDims | None = None) -> np.ndarray:
     """Reduced state on A: (rho_A)_ij = sum_alpha rho_{i alpha, j alpha}."""
     if isinstance(obj, PureState):
@@ -196,19 +186,21 @@ def partial_trace_b(obj, dims: BipartiteDims | None = None) -> np.ndarray:
     if isinstance(obj, MixedState):
         mats = np.stack([st.matrix for st in obj.components])
         return np.einsum("kab,kcb->ac", mats, mats.conj()) / len(mats)
-    rho, d = _as_density(obj, dims)
-    return np.einsum("iaja->ij", rho.reshape(d.n_a, d.n_b, d.n_a, d.n_b))
+    if dims is None:
+        raise ValueError("dims are required when passing a bare matrix")
+    rho = np.asarray(obj, dtype=np.complex128)
+    return np.einsum("iaja->ij", rho.reshape(dims.n_a, dims.n_b, dims.n_a, dims.n_b))
 
 
-def partial_transpose_b(obj, dims: BipartiteDims | None = None) -> np.ndarray:
-    """Partial transpose over B: out_{i alpha, j beta} = rho_{i beta, j alpha}.
+def partial_transpose_b(mat: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """Partial transpose over B of a (d, d) matrix on the space of ``dims``:
+    out_{i alpha, j beta} = rho_{i beta, j alpha}.
 
     Hermiticity and the trace are preserved; applying it twice gives back the
     input exactly (it is a permutation of matrix entries).
     """
-    rho, d = _as_density(obj, dims)
-    r = rho.reshape(d.n_a, d.n_b, d.n_a, d.n_b)
-    return r.transpose(0, 3, 2, 1).reshape(d.total, d.total)
+    r = np.asarray(mat, dtype=np.complex128).reshape(dims.n_a, dims.n_b, dims.n_a, dims.n_b)
+    return r.transpose(0, 3, 2, 1).reshape(dims.total, dims.total)
 
 
 def mixture_density(amps: np.ndarray) -> np.ndarray:
@@ -267,18 +259,13 @@ def pure_pt_eigenvalues(state: PureState, include_diagonal: bool = True) -> np.n
     return np.sort(mixture_pt_eigenvalues(state.amplitudes[None], state.dims, include_diagonal))
 
 
-def von_neumann_entropy(obj, dims: BipartiteDims | None = None) -> float:
+def von_neumann_entropy(mat: np.ndarray) -> float:
     """Entropy -sum(lam * log2(lam)) in bits of a PSD, trace-one matrix.
 
     Eigenvalues below -1e-8 are rejected; small negative round-off is clipped
     to zero and 0*log(0) is taken as 0.
     """
-    if isinstance(obj, MixedState):
-        mat = obj.to_matrix()
-    elif isinstance(obj, PureState):
-        mat = obj.density_matrix()
-    else:
-        mat = np.asarray(obj, dtype=np.complex128)
+    mat = np.asarray(mat, dtype=np.complex128)
     vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
     if vals[0] < -1e-8:
         raise ValueError(f"matrix is not PSD: min eigenvalue {vals[0]:.3e}")

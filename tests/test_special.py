@@ -150,9 +150,10 @@ def _running_integrals(f, start, points):
     return np.array(out)
 
 
-def test_pt_law_sweep_equals_per_gap_integrate_bit_for_bit():
-    # the law is even: F(y) = 1/2 + sgn(y) * (running integral from 0 over
-    # the sorted |y|), exactly 0 and 1 at and beyond -4 and 4
+def test_pt_law_cdf_within_1e9_of_per_gap_integrate():
+    # the contract of the quadrature sweep the series replaced: the law is
+    # even, F(y) = 1/2 + sgn(y) * (running integral from 0 over the sorted
+    # |y|), exactly 0 and 1 at and beyond -4 and 4
     d = analytic.pt_eigs()
     xs = np.sort(
         np.concatenate(
@@ -169,7 +170,7 @@ def test_pt_law_sweep_equals_per_gap_integrate_bit_for_bit():
     want = 0.5 + np.sign(xs) * running[np.searchsorted(sweep, half)]
     want[xs <= -4.0] = 0.0
     want[xs >= 4.0] = 1.0
-    assert np.array_equal(got, want)
+    assert np.abs(got - want).max() <= 1e-9
     assert got[0] == got[1] == got[2] == 0.0 and got[-1] == got[-2] == got[-3] == 1.0
     assert got[xs == 0.0] == 0.5
 
@@ -193,23 +194,47 @@ def test_pt_law_cdf_against_scipy_quad(y):
     assert abs(analytic.cdf_eval(d, y) - want) <= 1e-9
 
 
-def test_pt_law_pairs_share_a_gap(monkeypatch):
-    # a pure-state spectrum comes in +- pairs: the sweep over |y| evaluates
-    # the 15 nodes of each pair's one gap in its first call
+def test_pt_law_cdf_makes_no_quadrature_or_density_call(monkeypatch):
+    d = analytic.pt_eigs()
     pos = np.random.default_rng(8).uniform(0.01, 3.99, 400)
-    xs = np.sort(np.concatenate([pos, -pos]))
-    want = analytic.cdf_on_sorted(analytic.pt_eigs(), xs)
-    shapes = []
-    pdf = analytic._pt_eigs_pdf
+    xs = np.sort(np.concatenate([pos, -pos, [-4.5, -4.0, 0.0, 4.0, 4.5]]))
+    want = analytic.cdf_on_sorted(d, xs)
 
-    def recording_pdf(y):
-        shapes.append(np.shape(y))
-        return pdf(y)
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the PT-law CDF went through quadrature or the density")
 
-    monkeypatch.setattr(analytic, "_pt_eigs_pdf", recording_pdf)
-    got = analytic.cdf_on_sorted(analytic.pt_eigs(), xs)
-    assert np.array_equal(got, want)
-    assert shapes[0] == (15, len(xs) // 2)
+    for name in ("cumulative", "integrate", "_adaptive", "_gk15"):
+        monkeypatch.setattr(quadrature, name, no_quadrature)
+    monkeypatch.setattr(analytic, "_pt_eigs_pdf", no_quadrature)
+    assert np.array_equal(analytic.cdf_on_sorted(d, xs), want)
+    assert analytic.cdf_eval(d, -4.0) == 0.0 and analytic.cdf_eval(d, 4.0) == 1.0
+
+
+def test_pt_law_cdf_within_1e12_of_scipy_quad():
+    d = analytic.pt_eigs()
+    pdf = lambda t: analytic.density_eval(d, t)  # noqa: E731
+    interior = [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 2.8, 3.0, 3.5, 3.9, 3.999999]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sp_integrate.IntegrationWarning)
+        oracle = [sp_integrate.quad(pdf, 0.0, y, limit=200, epsabs=1e-14, epsrel=1e-14) for y in interior]
+    checked = [(y, val) for y, (val, err) in zip(interior, oracle) if err < 1e-13]
+    assert len(checked) >= 8
+    for y, val in checked:
+        assert abs(analytic.cdf_eval(d, y) - (0.5 + val)) <= 1e-12
+        assert abs(analytic.cdf_eval(d, -y) - (0.5 - val)) <= 1e-12
+
+
+def test_pt_law_series_meet_at_the_split_and_cdf_is_nondecreasing():
+    # G(k) = k [ln(1/k) C(k^2) + B(k^2)] for k^2 <= 1/2, 1/2 - m H(m) above
+    for k in np.sqrt(0.5) + np.array([-1e-3, 0.0, 1e-3]):
+        m = (1.0 - k) * (1.0 + k)
+        near_zero = k * (-np.log(k) * analytic._horner(analytic._PT_C, k * k) + analytic._horner(analytic._PT_B, k * k))
+        near_one = 0.5 - m * analytic._horner(analytic._PT_G, m)
+        assert abs(near_zero - near_one) <= 1e-15
+    ys = np.arange(-40_000, 40_001) * 1e-4
+    cdf = analytic.cdf_on_sorted(analytic.pt_eigs(), ys)
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert cdf[0] == 0.0 and cdf[40_000] == 0.5 and cdf[-1] == 1.0
 
 
 def test_mp_law_goes_through_the_array_path(monkeypatch):
