@@ -9,7 +9,7 @@ rescaled statistic w, an elliptic-integral law and the Marcenko-Pastur law
 for spectra).
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .qstate import (
     BipartiteDims,
@@ -50,7 +50,6 @@ from .analytic import (
 )
 from .ensemble import (
     EmpiricalDistribution,
-    EnsembleConfig,
     ScanResult,
     WitnessSpec,
     critical_m,

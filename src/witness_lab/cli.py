@@ -23,10 +23,8 @@ import numpy as np
 from . import __version__, analytic
 from .ensemble import (
     BLAS_THREADS_PER_TASK,
-    EnsembleConfig,
     WitnessSpec,
     dense_coding_scan,
-    derive_witness,
     ks_statistic,
     kurtosis_ratio,
     run_lambda_min_scan,
@@ -135,17 +133,16 @@ def _write_manifest(out: OutputTracker, args: argparse.Namespace, workers: int, 
     out.json("manifest.json", payload)
 
 
-def _overlay_density(spec: WitnessSpec, m: int, sigma_sq: float | None):
+def _overlay_density(spec: WitnessSpec, m: int):
     """Closed-form curve matching a w ensemble: the rank-2 law for a rank-2
-    witness on pure states, otherwise a Gaussian whose width follows the
-    witness weights and the mixture size (variance sigma_sq / m)."""
-    if spec.kind == "optimal_per_state":
+    witness on pure states, otherwise a Gaussian of variance 1/(m k) for a
+    witness on k orthonormal vectors (k = 1 but for rankk).  None for the
+    per-state optimal witness."""
+    if spec.kind == "optimal":
         return None
     if spec.kind == "rank2" and m == 1:
         return analytic.rank2(spec.lam)
-    if sigma_sq is None:
-        return None
-    return analytic.gauss_width(m / sigma_sq)
+    return analytic.gauss_width(m * (spec.k or 1))
 
 
 def _write_overlay(out: OutputTracker, name: str, column: str, law, dist) -> float:
@@ -160,11 +157,7 @@ def _write_overlay(out: OutputTracker, name: str, column: str, law, dist) -> flo
 def cmd_wdist(args: argparse.Namespace, workers: int, out: OutputTracker) -> None:
     dims = BipartiteDims(*args.dims)
     spec = WitnessSpec.parse(args.witness)
-    config = EnsembleConfig(
-        dims=dims, samples=args.samples, m=args.m, witness_spec=spec, seed=args.seed, workers=workers
-    )
-    witness = derive_witness(config)
-    dist = run_w_ensemble(config, witness=witness)
+    dist = run_w_ensemble(dims, args.samples, args.m, args.seed, workers, spec)
 
     out.csv("wdist_hist.csv", ["bin_left", "bin_right", "density"], _hist_rows(dist))
 
@@ -172,7 +165,7 @@ def cmd_wdist(args: argparse.Namespace, workers: int, out: OutputTracker) -> Non
     summary["witness"] = str(spec)
     summary["dims"] = [dims.n_a, dims.n_b]
     summary["m"] = args.m
-    overlay = _overlay_density(spec, args.m, witness.sigma_sq if witness else None)
+    overlay = _overlay_density(spec, args.m)
     if overlay is not None:
         ks = _write_overlay(out, "wdist_analytic.csv", "x", overlay, dist)
         summary["analytic_kind"] = overlay.kind

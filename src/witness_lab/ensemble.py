@@ -90,7 +90,7 @@ _STREAM_DECAY = 5  # (seed, tag, chunk): pure-state w shared by every m of a sca
 DEFAULT_W_BINS = np.linspace(-4.0, 6.0, 81)
 DEFAULT_Y_BINS = np.linspace(-4.5, 4.5, 91)
 
-WITNESS_KINDS = ("random_full_rank", "rank2", "rank_k", "optimal_per_state")
+WITNESS_KINDS = ("random", "rank2", "rankk", "optimal")
 
 
 @dataclass(frozen=True)
@@ -108,59 +108,36 @@ class WitnessSpec:
             raise ValueError(f"unknown witness kind {self.kind!r}")
         if self.kind == "rank2" and (self.lam is None or not 0.0 < self.lam < 1.0):
             raise ValueError(f"rank2 witness needs lambda in (0, 1), got {self.lam}")
-        if self.kind == "rank_k" and (self.k is None or self.k < 1):
-            raise ValueError(f"rank_k witness needs k >= 1, got {self.k}")
+        if self.kind == "rankk" and (self.k is None or self.k < 1):
+            raise ValueError(f"rankk witness needs k >= 1, got {self.k}")
 
     @classmethod
     def parse(cls, text: str) -> "WitnessSpec":
         """Parse the CLI syntax: random | rank2:LAMBDA | rankk:K | optimal."""
-        head, _, arg = text.partition(":")
+        head, sep, arg = text.partition(":")
         head = head.strip().lower()
-        if head in ("random", "random_full_rank"):
-            return cls("random_full_rank")
+        if head in ("random", "optimal"):
+            if sep:
+                raise ValueError(f"witness spec {head} takes no argument, got {text!r}")
+            return cls(head)
         if head == "rank2":
             try:
                 return cls("rank2", lam=float(arg))
             except ValueError as exc:
                 raise ValueError(f"bad rank2 witness spec {text!r}: {exc}") from None
-        if head in ("rankk", "rank_k"):
+        if head == "rankk":
             try:
-                return cls("rank_k", k=int(arg))
+                return cls("rankk", k=int(arg))
             except ValueError:
                 raise ValueError(f"bad rankk witness spec {text!r}") from None
-        if head in ("optimal", "optimal_per_state"):
-            return cls("optimal_per_state")
         raise ValueError(f"unknown witness spec {text!r}")
 
     def __str__(self) -> str:
         if self.kind == "rank2":
             return f"rank2:{self.lam:g}"
-        if self.kind == "rank_k":
+        if self.kind == "rankk":
             return f"rankk:{self.k}"
-        return "random" if self.kind == "random_full_rank" else "optimal"
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Full description of one w-ensemble run; equal configs (same seed)
-    produce bit-identical results."""
-
-    dims: BipartiteDims
-    samples: int
-    m: int = 1
-    witness_spec: WitnessSpec = WitnessSpec("random_full_rank")
-    seed: int = 0
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.m < 1:
-            raise ValueError(f"mixture size must be >= 1, got {self.m}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        return self.kind
 
 
 @dataclass(frozen=True)
@@ -262,12 +239,12 @@ def empirical_from_samples(samples: np.ndarray, bin_edges: np.ndarray = DEFAULT_
     )
 
 
-def ks_statistic(samples: np.ndarray, cdf_on_sorted) -> float:
-    """One-sample Kolmogorov-Smirnov distance against a CDF callable that
-    accepts an ascending array."""
+def ks_statistic(samples: np.ndarray, cdf) -> float:
+    """One-sample Kolmogorov-Smirnov distance against an elementwise CDF
+    callable on arrays."""
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = len(x)
-    f = np.asarray(cdf_on_sorted(x), dtype=np.float64)
+    f = np.asarray(cdf(x), dtype=np.float64)
     up = np.abs(np.arange(1, n + 1) / n - f)
     lo = np.abs(np.arange(n) / n - f)
     return float(np.max(np.maximum(up, lo)))
@@ -287,17 +264,16 @@ def _rng_for(*entropy: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(entropy)))
 
 
-def derive_witness(config: EnsembleConfig) -> Witness | None:
+def derive_witness(dims: BipartiteDims, spec: WitnessSpec, seed: int) -> Witness | None:
     """The fixed witness an ensemble measures, reproducible from the seed.
     Returns None for the per-state optimal spec."""
-    spec = config.witness_spec
-    rng = _rng_for(config.seed, _STREAM_WITNESS)
-    if spec.kind == "random_full_rank":
-        return random_haar_witness(config.dims, rng)
+    rng = _rng_for(seed, _STREAM_WITNESS)
+    if spec.kind == "random":
+        return random_haar_witness(dims, rng)
     if spec.kind == "rank2":
-        return witness_from_vector(rank2_state(config.dims, spec.lam))
-    if spec.kind == "rank_k":
-        return random_rank_k_witness(config.dims, spec.k, rng)
+        return witness_from_vector(rank2_state(dims, spec.lam))
+    if spec.kind == "rankk":
+        return random_rank_k_witness(dims, spec.k, rng)
     return None
 
 
@@ -408,23 +384,25 @@ def _w_samples(
     return np.concatenate(_map_ordered(_w_chunk_task, tasks, workers))
 
 
-def run_w_ensemble(config: EnsembleConfig, witness: Witness | None = None) -> EmpiricalDistribution:
+def run_w_ensemble(
+    dims: BipartiteDims,
+    samples: int,
+    m: int = 1,
+    seed: int = 0,
+    workers: int = 1,
+    witness_spec: WitnessSpec = WitnessSpec("random"),
+) -> EmpiricalDistribution:
     """Distribution of w over ``samples`` states, each a uniform mixture of
-    ``m`` fresh Haar states, measured against one witness drawn from the
-    witness spec (or the per-state optimal one).
-
-    A caller that already holds ``derive_witness(config)`` passes it as
-    ``witness`` so that it is not built again."""
-    if witness is None:
-        witness = derive_witness(config)
-    w = _w_samples(
-        config.dims,
-        config.samples,
-        config.m,
-        None if witness is None else witness_spectrum(witness),
-        (config.seed, _STREAM_W),
-        config.workers,
-    )
+    ``m`` fresh Haar states, measured against the one witness derived from
+    ``witness_spec`` (or each state's optimal one); equal arguments give
+    bit-identical results for any worker count."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if m < 1:
+        raise ValueError(f"mixture size must be >= 1, got {m}")
+    witness = derive_witness(dims, witness_spec, seed)
+    spectrum = None if witness is None else witness_spectrum(witness)
+    w = _w_samples(dims, samples, m, spectrum, (seed, _STREAM_W), workers)
     return empirical_from_samples(w, DEFAULT_W_BINS)
 
 
@@ -474,7 +452,7 @@ def run_mixture_decay(
     samples_base: int,
     seed: int = 0,
     workers: int = 1,
-    witness_spec: WitnessSpec = WitnessSpec("random_full_rank"),
+    witness_spec: WitnessSpec = WitnessSpec("random"),
 ) -> ScanResult:
     """Detection probability P(w < 0) versus mixture size m = 1..m_max for
     one fixed witness, with a log-slope fit over the asymptotic points
@@ -488,9 +466,9 @@ def run_mixture_decay(
         raise ValueError("m_max must be >= 1")
     if samples_base < 1:
         raise ValueError(f"samples_base must be >= 1, got {samples_base}")
-    witness = derive_witness(EnsembleConfig(dims=dims, samples=1, witness_spec=witness_spec, seed=seed))
+    witness = derive_witness(dims, witness_spec, seed)
     if witness is None:
-        raise ValueError("mixture decay needs a fixed witness, not optimal_per_state")
+        raise ValueError("mixture decay needs a fixed witness, not optimal")
 
     sizes = {m: samples_base * min(m, 8) for m in range(1, m_max + 1)}
     spectrum = witness_spectrum(witness)

@@ -248,15 +248,12 @@ def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims, include_diagon
     return np.reshape(spectra, (*stack, d))
 
 
-def pure_pt_eigenvalues(state: PureState, include_diagonal: bool = True) -> np.ndarray:
+def pure_pt_eigenvalues(state: PureState) -> np.ndarray:
     """Ascending eigenvalues of the partial transpose of a pure-state
     projector, from the Schmidt coefficients alone (see
-    ``mixture_pt_eigenvalues``).
-
-    Much cheaper than an explicit eigensolve and exact; the diagonal block can
-    be dropped, which is how spectral histograms isolate the +-mu_i mu_j part.
-    """
-    return np.sort(mixture_pt_eigenvalues(state.amplitudes[None], state.dims, include_diagonal))
+    ``mixture_pt_eigenvalues``); much cheaper than an explicit eigensolve
+    and exact."""
+    return np.sort(mixture_pt_eigenvalues(state.amplitudes[None], state.dims))
 
 
 def von_neumann_entropy(mat: np.ndarray) -> float:

@@ -45,19 +45,14 @@ _WG = (
 
 DEFAULT_TOL = 1e-9
 _MAX_PANELS = 4096
-# gaps per vectorised panel evaluation in ``cumulative``; bounds the memory
-# of the sweep (15 nodes and the AGM's work arrays per gap)
-_SWEEP_BLOCK = 1024
 
 
 def _gk15(f_nodes: Callable, a, b):
     """One G7/K15 panel on [a, b]; returns (integral, error estimate).
 
-    ``a`` and ``b`` are floats, or arrays holding one panel per element.
     ``f_nodes`` maps the list of the 15 abscissae (the pairs mid -/+ half*x
     for the nonzero nodes, then the center) to the integrand values there,
-    in the same order.  The values are combined node by node, so a panel
-    gives the same bits whether it is evaluated alone or with others.
+    in the same order.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -132,30 +127,17 @@ def cumulative(f: Callable[[np.ndarray], np.ndarray], start: float, points) -> n
     """Running integral of ``f`` from ``start`` to each of the nondecreasing
     ``points``; used for building CDFs at sample locations.
 
-    ``f`` acts elementwise on arrays.  One G7/K15 panel is
-    evaluated on every gap between consecutive points at once, in blocks of
-    ``_SWEEP_BLOCK`` gaps.  A gap whose panel misses ``DEFAULT_TOL`` goes to
-    ``integrate``'s panel loop, which computes the same panel and refines
-    it, with one call of ``f`` on the 15 nodes of each panel.  Each gap
-    therefore gets the bits ``integrate`` would give it alone, and the gaps
-    are summed in order.
+    ``f`` acts elementwise on arrays.  Each nonempty gap between consecutive
+    points goes to ``integrate``'s panel loop, with one call of ``f`` on the
+    15 nodes of each panel, so it gets the bits ``integrate`` would give it
+    alone; the gaps are summed in order.
     """
     points = np.asarray(points, dtype=float)
     lo = np.concatenate(([start], points[:-1]))
     if np.any(points < lo):
         raise ValueError("points must be nondecreasing and >= start")
-    live = np.flatnonzero(points > lo)
-    a, b = lo[live], points[live]
 
     def f_nodes(xs):
         return f(np.stack(xs))
 
-    vals, errs = np.empty(len(live)), np.empty(len(live))
-    for i in range(0, len(live), _SWEEP_BLOCK):
-        block = slice(i, i + _SWEEP_BLOCK)
-        vals[block], errs[block] = _gk15(f_nodes, a[block], b[block])
-    for j in np.flatnonzero(errs > DEFAULT_TOL):
-        vals[j] = _adaptive(f_nodes, a[j], b[j])
-    gaps = np.zeros(len(points) + 1)
-    gaps[live + 1] = vals
-    return np.cumsum(gaps)[1:]
+    return np.cumsum([_adaptive(f_nodes, a, b) if b > a else 0.0 for a, b in zip(lo.tolist(), points.tolist())])

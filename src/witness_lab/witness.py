@@ -61,18 +61,10 @@ class Witness:
     def rank(self) -> int:
         return len(self.q_vectors)
 
-    @property
-    def sigma_sq(self) -> float:
-        """sum_i d_i^2, the Gaussian width of w for orthonormal vectors."""
-        return float(np.sum(self.q_weights**2))
-
-    def q_matrix(self) -> np.ndarray:
-        v = np.stack([phi.amplitudes for phi in self.q_vectors])
-        return v.T @ (self.q_weights[:, None] * v.conj())
-
     def to_matrix(self) -> np.ndarray:
         """Materialize W = Q^T_B as an explicit Hermitian matrix."""
-        return partial_transpose_b(self.q_matrix(), self.dims)
+        v = np.stack([phi.amplitudes for phi in self.q_vectors])
+        return partial_transpose_b(v.T @ (self.q_weights[:, None] * v.conj()), self.dims)
 
 
 class WitnessSample(NamedTuple):

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from witness_lab.analytic import AnalyticDensity, density_eval
-from witness_lab.ensemble import EnsembleConfig, WitnessSpec, empirical_from_samples, run_w_ensemble
+from witness_lab.ensemble import WitnessSpec, derive_witness, empirical_from_samples, run_w_ensemble
 from witness_lab.qstate import BipartiteDims, MixedState, PureState
 from witness_lab.witness import sample_w_overlap_model
 
@@ -57,29 +57,20 @@ def rank2_overlap_distribution(lam: float, samples: int, generator: np.random.Ge
     return empirical_from_samples(sample_w_overlap_model(np.array([lam, 1 - lam]), generator, size=samples))
 
 
+def _ensemble_at_32(spec: WitnessSpec):
+    """(witness, distribution) of a 1e5-sample w ensemble at (32, 32),
+    seed 0, on two workers."""
+    dims = BipartiteDims(32, 32)
+    return derive_witness(dims, spec, 0), run_w_ensemble(dims, 100_000, seed=0, workers=2, witness_spec=spec)
+
+
 @pytest.fixture(scope="session")
 def gauss_ensemble():
-    """Shared 1e5-sample w ensemble at (32, 32) with a Haar rank-one
-    witness; used by the mean/width, tail and cumulant checks."""
-    cfg = EnsembleConfig(
-        dims=BipartiteDims(32, 32),
-        samples=100_000,
-        m=1,
-        witness_spec=WitnessSpec("random_full_rank"),
-        seed=0,
-        workers=2,
-    )
-    return cfg, run_w_ensemble(cfg)
+    """Shared w ensemble with a Haar rank-one witness; used by the
+    mean/width, tail and cumulant checks."""
+    return _ensemble_at_32(WitnessSpec("random"))
 
 
 @pytest.fixture(scope="session")
 def rank2_half_ensemble():
-    cfg = EnsembleConfig(
-        dims=BipartiteDims(32, 32),
-        samples=100_000,
-        m=1,
-        witness_spec=WitnessSpec("rank2", lam=0.5),
-        seed=0,
-        workers=2,
-    )
-    return cfg, run_w_ensemble(cfg)
+    return _ensemble_at_32(WitnessSpec("rank2", lam=0.5))

@@ -13,7 +13,6 @@ import pytest
 from witness_lab import analytic
 from witness_lab.analytic import cdf_on_sorted, gauss_width, pt_eigs, rank2 as rank2_density
 from witness_lab.ensemble import (
-    EnsembleConfig,
     WitnessSpec,
     empirical_from_samples,
     ks_statistic,
@@ -66,14 +65,9 @@ def test_c03_rank2_closed_forms(rank2_half_ensemble):
     ks_half = ks_statistic(dist_half.samples, lambda xs: cdf_on_sorted(rank2_density(0.5), xs))
 
     lam = 1 / 26
-    cfg = EnsembleConfig(
-        dims=BipartiteDims(32, 32),
-        samples=100_000,
-        witness_spec=WitnessSpec("rank2", lam=lam),
-        seed=0,
-        workers=2,
+    dist_small = run_w_ensemble(
+        BipartiteDims(32, 32), 100_000, seed=0, workers=2, witness_spec=WitnessSpec("rank2", lam=lam)
     )
-    dist_small = run_w_ensemble(cfg)
     ok_small = abs(dist_small.neg_tail - 5 / 72) < 0.003
     ks_small = ks_statistic(dist_small.samples, lambda xs: cdf_on_sorted(rank2_density(lam), xs))
 
@@ -90,14 +84,9 @@ def test_c04_rank_k_width():
     details = []
     ok = True
     for k in (4, 16):
-        cfg = EnsembleConfig(
-            dims=BipartiteDims(32, 32),
-            samples=100_000,
-            witness_spec=WitnessSpec("rank_k", k=k),
-            seed=0,
-            workers=2,
+        dist = run_w_ensemble(
+            BipartiteDims(32, 32), 100_000, seed=0, workers=2, witness_spec=WitnessSpec("rankk", k=k)
         )
-        dist = run_w_ensemble(cfg)
         ok = ok and abs(dist.variance - 1.0 / k) < 0.05 / k
         details.append(f"k={k}: var = {dist.variance:.5f} (need {1 / k:.5f} +- 5%)")
     assert report("04 rank-k width", ok, "; ".join(details))
@@ -239,9 +228,7 @@ def test_c11_property_suites():
             failures.append(f"normalization {dens.kind}")
 
     # determinism under varying worker counts
-    cfg1 = EnsembleConfig(dims=dims, samples=5000, m=2, seed=42, workers=1)
-    cfg2 = EnsembleConfig(dims=dims, samples=5000, m=2, seed=42, workers=2)
-    d1, d2 = run_w_ensemble(cfg1), run_w_ensemble(cfg2)
+    d1, d2 = (run_w_ensemble(dims, 5000, m=2, seed=42, workers=workers) for workers in (1, 2))
     if not (np.array_equal(d1.samples, d2.samples) and d1.mean == d2.mean):
         failures.append("worker determinism")
 

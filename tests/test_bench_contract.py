@@ -7,19 +7,23 @@ import importlib
 import sys
 from pathlib import Path
 
-from witness_lab import ensemble
+from witness_lab import cli, ensemble
+from witness_lab.ensemble import WitnessSpec
 from witness_lab.qstate import BipartiteDims
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _traced_names() -> list[str]:
+def _bench_module(name: str):
     sys.path.insert(0, str(BENCH_DIR))
     try:
-        spans = importlib.import_module("spans")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH_DIR))
-    return [qual for names in spans.GROUPS.values() for qual in names]
+
+
+def _traced_names() -> list[str]:
+    return [qual for names in _bench_module("spans").GROUPS.values() for qual in names]
 
 
 def _resolves(qual: str) -> bool:
@@ -38,6 +42,15 @@ def test_every_traced_name_resolves_in_the_package():
     # a traced run requires one traced task per mapped chunk of ptspec
     assert "ensemble._pt_state_task" in names
     assert [qual for qual in names if not _resolves(qual)] == []
+
+
+def test_every_workload_command_line_parses(tmp_path):
+    # the benchmark runs these command lines: an option or a witness name
+    # that the program no longer accepts fails every run of its workload
+    for workload in _bench_module("workloads").WORKLOADS.values():
+        args = cli.build_parser().parse_args(workload.argv(0, tmp_path))
+        if "witness" in vars(args):
+            WitnessSpec.parse(args.witness)
 
 
 def test_lambda_min_scan_maps_the_traced_task(monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from witness_lab import __version__, cli, ensemble
+from witness_lab import __version__, analytic, cli, ensemble
 
 
 def run_cli(args):
@@ -73,6 +73,15 @@ class TestWdist:
         summary = read_json(out / "wdist_summary.json")
         assert summary["analytic_kind"] == "rank2"
         assert summary["analytic_neg_tail"] == pytest.approx(0.125, abs=1e-12)
+
+    def test_rankk_overlay_width_is_exact(self, tmp_path):
+        # the width 1 / sum(d_i^2) of ten weights 1/10 rounds to 9.999999999999996
+        out = tmp_path / "rk"
+        args = ["wdist", "--dims", "6", "6", "--samples", "500", "--witness", "rankk:10", "--workers", "1", "--out", out]
+        assert run_cli(args) == 0
+        summary = read_json(out / "wdist_summary.json")
+        assert summary["analytic_params"]["k"] == 10.0
+        assert summary["analytic_neg_tail"] == analytic.detection_probability(analytic.gauss_width(10))
 
     def test_csv_is_locale_independent(self, tmp_path):
         out = tmp_path / "loc"

@@ -10,7 +10,6 @@ from witness_lab import ensemble
 from witness_lab.ensemble import (
     CriticalMRow,
     EmpiricalDistribution,
-    EnsembleConfig,
     WitnessSpec,
     critical_m,
     cumulant_report,
@@ -63,28 +62,29 @@ def _equal_dists(a: EmpiricalDistribution, b: EmpiricalDistribution) -> bool:
 class TestWitnessSpec:
     def test_parse_round_trip(self):
         for text, kind in (
-            ("random", "random_full_rank"),
+            ("random", "random"),
             ("rank2:0.5", "rank2"),
-            ("rankk:4", "rank_k"),
-            ("optimal", "optimal_per_state"),
+            ("rankk:4", "rankk"),
+            ("optimal", "optimal"),
         ):
             spec = WitnessSpec.parse(text)
             assert spec.kind == kind
+            assert str(spec) == text
             assert WitnessSpec.parse(str(spec)) == spec
 
     def test_parse_rejects_garbage(self):
-        for text in ("rank2", "rank2:1.5", "rankk:zero", "banana"):
+        for text in ("rank2", "rank2:1.5", "rankk:zero", "banana", "random:16", "optimal:junk"):
             with pytest.raises(ValueError):
                 WitnessSpec.parse(text)
 
     def test_config_validation(self):
         dims = BipartiteDims(4, 4)
         with pytest.raises(ValueError):
-            EnsembleConfig(dims=dims, samples=0)
+            run_w_ensemble(dims, 0)
         with pytest.raises(ValueError):
-            EnsembleConfig(dims=dims, samples=10, m=0)
+            run_w_ensemble(dims, 10, m=0)
         with pytest.raises(ValueError):
-            EnsembleConfig(dims=dims, samples=10, seed=-1)
+            run_w_ensemble(dims, 10, seed=-1)
 
 
 class TestEmpirical:
@@ -135,26 +135,25 @@ class TestBlasThreadPolicy:
 class TestDeterminism:
     def test_worker_count_invariance(self):
         dims = BipartiteDims(8, 8)
-        base = dict(dims=dims, samples=9000, m=2, witness_spec=WitnessSpec("rank2", lam=0.5), seed=123)
-        d1 = run_w_ensemble(EnsembleConfig(workers=1, **base))
-        d2 = run_w_ensemble(EnsembleConfig(workers=2, **base))
+        base = dict(m=2, seed=123, witness_spec=WitnessSpec("rank2", lam=0.5))
+        d1 = run_w_ensemble(dims, 9000, workers=1, **base)
+        d2 = run_w_ensemble(dims, 9000, workers=2, **base)
         assert _equal_dists(d1, d2)
 
     def test_same_config_bitwise_identical(self):
         dims = BipartiteDims(4, 4)
-        cfg = EnsembleConfig(dims=dims, samples=3000, seed=9, workers=1)
-        assert _equal_dists(run_w_ensemble(cfg), run_w_ensemble(cfg))
+        assert _equal_dists(run_w_ensemble(dims, 3000, seed=9), run_w_ensemble(dims, 3000, seed=9))
 
     def test_seed_changes_results(self):
         dims = BipartiteDims(4, 4)
-        a = run_w_ensemble(EnsembleConfig(dims=dims, samples=1000, seed=1))
-        b = run_w_ensemble(EnsembleConfig(dims=dims, samples=1000, seed=2))
+        a = run_w_ensemble(dims, 1000, seed=1)
+        b = run_w_ensemble(dims, 1000, seed=2)
         assert not np.array_equal(a.samples, b.samples)
 
     def test_rank_k_mixture_worker_count_invariance(self):
-        base = dict(dims=BipartiteDims(4, 4), samples=9000, m=2, witness_spec=WitnessSpec("rank_k", k=3), seed=17)
-        d1 = run_w_ensemble(EnsembleConfig(workers=1, **base))
-        d2 = run_w_ensemble(EnsembleConfig(workers=2, **base))
+        base = dict(m=2, seed=17, witness_spec=WitnessSpec("rankk", k=3))
+        d1 = run_w_ensemble(BipartiteDims(4, 4), 9000, workers=1, **base)
+        d2 = run_w_ensemble(BipartiteDims(4, 4), 9000, workers=2, **base)
         assert _equal_dists(d1, d2)
 
     def test_decay_and_wdist_streams_differ(self):
@@ -184,24 +183,20 @@ class TestDeterminism:
 
 class TestWEnsemble:
     def test_mean_is_one_within_errors(self):
-        cfg = EnsembleConfig(dims=BipartiteDims(16, 16), samples=20_000, seed=4, workers=2)
-        dist = run_w_ensemble(cfg)
+        dist = run_w_ensemble(BipartiteDims(16, 16), 20_000, seed=4, workers=2)
         assert abs(dist.mean - 1.0) < 3 * dist.mean_std_err
 
     def test_tail_error_shrinks_with_samples(self):
         dims = BipartiteDims(8, 8)
-        small = run_w_ensemble(EnsembleConfig(dims=dims, samples=10_000, seed=6, workers=2))
-        large = run_w_ensemble(EnsembleConfig(dims=dims, samples=40_000, seed=6, workers=2))
+        small = run_w_ensemble(dims, 10_000, seed=6, workers=2)
+        large = run_w_ensemble(dims, 40_000, seed=6, workers=2)
         assert large.neg_tail_std_err < 0.8 * small.neg_tail_std_err
 
     def test_optimal_per_state_matches_direct(self):
         from witness_lab.witness import optimal_witness
 
         dims = BipartiteDims(4, 4)
-        cfg = EnsembleConfig(
-            dims=dims, samples=5, m=2, witness_spec=WitnessSpec("optimal_per_state"), seed=8
-        )
-        dist = run_w_ensemble(cfg)
+        dist = run_w_ensemble(dims, 5, m=2, seed=8, witness_spec=WitnessSpec("optimal"))
         assert np.all(dist.samples < 0)
         # each w equals total_dim * lambda_min of an independently drawn
         # mixture, so the range must be physical
@@ -226,9 +221,7 @@ class TestWEnsemble:
         # in groups of 32; mixtures of m come in groups of 2184 // m (1092
         # and 728 at 3 x 5), so both m > 1 runs span two groups
         dims = BipartiteDims(*shape)
-        spec = WitnessSpec("optimal_per_state")
-        cfg = EnsembleConfig(dims=dims, samples=samples, m=m, witness_spec=spec, seed=19, workers=2)
-        got = run_w_ensemble(cfg).samples
+        got = run_w_ensemble(dims, samples, m, seed=19, workers=2, witness_spec=WitnessSpec("optimal")).samples
         want = []
         for chunk, start in enumerate(range(0, samples, ensemble.CHUNK_SAMPLES)):
             gen = ensemble._rng_for(19, ensemble._STREAM_W, chunk)
@@ -242,14 +235,9 @@ class TestWEnsemble:
         assert np.array_equal(got, np.array(want))
 
     def test_cross_oracle_rank2_agreement(self):
-        cfg = EnsembleConfig(
-            dims=BipartiteDims(32, 32),
-            samples=100_000,
-            witness_spec=WitnessSpec("rank2", lam=0.25),
-            seed=11,
-            workers=2,
+        quantum = run_w_ensemble(
+            BipartiteDims(32, 32), 100_000, seed=11, workers=2, witness_spec=WitnessSpec("rank2", lam=0.25)
         )
-        quantum = run_w_ensemble(cfg)
         model = rank2_overlap_distribution(0.25, 100_000, rng(12))
         assert stats.ks_2samp(quantum.samples, model.samples, method="asymp").statistic < 0.02
 
@@ -268,7 +256,7 @@ class TestSpectralSampler:
 
         dims = BipartiteDims(*shape)
         n = self.SAMPLES
-        witness = derive_witness(EnsembleConfig(dims=dims, samples=1, witness_spec=WitnessSpec.parse(spec), seed=41))
+        witness = derive_witness(dims, WitnessSpec.parse(spec), 41)
         spectrum = witness_spectrum(witness)
         w = _w_samples(dims, n, m, spectrum, (42, 1), workers=1)
 
@@ -290,7 +278,7 @@ class TestSpectralSampler:
         # is one batch, so its Gamma(60) draws must not share the stream of
         # its exponentials for the first 1000 values to keep their bits
         dims = BipartiteDims(8, 8)
-        spectrum = witness_spectrum(derive_witness(EnsembleConfig(dims, 1, witness_spec=WitnessSpec.parse("rank2:0.3"))))
+        spectrum = witness_spectrum(derive_witness(dims, WitnessSpec.parse("rank2:0.3"), 0))
         assert (len(spectrum.nonzero), spectrum.zeros) == (4, 60)
         short, long = (ensemble._w_samples(dims, n, 1, spectrum, (0, ensemble._STREAM_W), 1) for n in (1000, 1001))
         assert np.array_equal(long[:1000], short)
@@ -305,14 +293,9 @@ class TestRankKGaussianity:
         from witness_lab.ensemble import ks_statistic
 
         for k in (4, 16):
-            cfg = EnsembleConfig(
-                dims=BipartiteDims(32, 32),
-                samples=50_000,
-                witness_spec=WitnessSpec("rank_k", k=k),
-                seed=30 + k,
-                workers=2,
+            dist = run_w_ensemble(
+                BipartiteDims(32, 32), 50_000, seed=30 + k, workers=2, witness_spec=WitnessSpec("rankk", k=k)
             )
-            dist = run_w_ensemble(cfg)
             ks = ks_statistic(dist.samples, lambda xs: cdf_on_sorted(gauss_width(k), xs))
             print(f"rank-k Gaussianity: k={k} KS vs width-1/k Gaussian = {ks:.4f}")
             assert ks < 0.1
@@ -543,7 +526,7 @@ class TestMixtureDecay:
 
     def test_optimal_witness_spec_rejected(self):
         with pytest.raises(ValueError):
-            run_mixture_decay(BipartiteDims(4, 4), 2, 100, witness_spec=WitnessSpec("optimal_per_state"))
+            run_mixture_decay(BipartiteDims(4, 4), 2, 100, witness_spec=WitnessSpec("optimal"))
 
     def test_rejects_samples_base_below_one(self):
         with pytest.raises(ValueError, match="samples_base must be >= 1, got 0"):
@@ -557,7 +540,7 @@ class TestMixtureDecay:
         return run_mixture_decay(self.DIMS, m_max, self.BASE, seed=self.SEED, workers=workers)
 
     def test_points_average_one_run_of_pure_samples(self):
-        witness = derive_witness(EnsembleConfig(dims=self.DIMS, samples=1, seed=self.SEED))
+        witness = derive_witness(self.DIMS, WitnessSpec("random"), self.SEED)
         spectrum = witness_spectrum(witness)
         pure = ensemble._w_samples(
             self.DIMS, self.BASE * self.M_MAX**2, 1, spectrum, (self.SEED, ensemble._STREAM_DECAY), 1
@@ -646,15 +629,15 @@ class TestDenseCoding:
 
 class TestCumulantReport:
     def test_full_rank_witness_z_scores(self, gauss_ensemble):
-        cfg, dist = gauss_ensemble
-        rows = cumulant_report(dist, derive_witness(cfg))
+        witness, dist = gauss_ensemble
+        rows = cumulant_report(dist, witness)
         assert [r.order for r in rows] == [2, 3, 4]
         assert all(abs(r.z_score) <= 4 for r in rows)
         assert not any(r.flagged for r in rows)
 
     def test_rank2_third_cumulant(self, rank2_half_ensemble):
-        cfg, dist = rank2_half_ensemble
-        rows = cumulant_report(dist, derive_witness(cfg))
+        witness, dist = rank2_half_ensemble
+        rows = cumulant_report(dist, witness)
         k3 = rows[1]
         assert k3.predicted == pytest.approx(0.49270, abs=5e-6)
         assert abs(k3.predicted - 0.5) < 0.01  # N -> inf: 2 tr W^3 = 2 * 1/4
@@ -688,9 +671,8 @@ class TestCumulantReport:
     def test_exact_predictions_flag_nothing(self, shape, spec, m):
         # finite-N sizes: here the N -> inf cumulants are 7-73 standard
         # errors off a correct sampler
-        cfg = EnsembleConfig(
-            dims=BipartiteDims(*shape), samples=100_000, m=m, witness_spec=WitnessSpec.parse(spec), seed=0, workers=2
-        )
-        rows = cumulant_report(run_w_ensemble(cfg), derive_witness(cfg), m=m)
+        dims, spec = BipartiteDims(*shape), WitnessSpec.parse(spec)
+        dist = run_w_ensemble(dims, 100_000, m, seed=0, workers=2, witness_spec=spec)
+        rows = cumulant_report(dist, derive_witness(dims, spec, 0), m=m)
         assert all(type(r.flagged) is bool for r in rows)
         assert not any(r.flagged for r in rows), [r.z_score for r in rows]

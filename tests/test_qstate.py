@@ -233,7 +233,7 @@ class TestSpectrum:
         psi = sample_random_pure(BipartiteDims(n, n), rng(seed))
         pt = partial_transpose_b(psi.density_matrix(), psi.dims)
         direct = np.sort(np.linalg.eigvalsh(pt))
-        law = pure_pt_eigenvalues(psi, include_diagonal=True)
+        law = pure_pt_eigenvalues(psi)
         np.testing.assert_allclose(direct, law, atol=1e-9)
 
     @pytest.mark.parametrize(

@@ -380,10 +380,7 @@ class TestWidthStatistics:
         assert abs(var - predicted) < 3 * se + 0.01
 
     def test_cumulant_contract_full_rank(self, gauss_ensemble):
-        cfg, dist = gauss_ensemble
-        from witness_lab.ensemble import derive_witness
-
-        w = derive_witness(cfg)
+        w, dist = gauss_ensemble
         tp = trace_powers(w, 4)
         assert abs(dist.k2 - 1.0) < 0.02
         assert abs(dist.k3 - 2.0 * tp[2]) < 0.05
