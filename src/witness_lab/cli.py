@@ -34,8 +34,6 @@ from .ensemble import (
 )
 from .qstate import BipartiteDims
 
-WORKERS_ENV = "WITNESS_LAB_WORKERS"
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -83,13 +81,8 @@ class OutputTracker:
                 pass
 
 
-def _resolve_workers(flag_value: int | None) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        workers = int(env)
-    elif flag_value is not None:
-        workers = flag_value
-    else:
+def _resolve_workers(workers: int | None) -> int:
+    if workers is None:
         return os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -103,12 +96,13 @@ def _int_list(values: list[str]) -> list[int]:
     return out
 
 
-def _hist_rows(dist) -> list[tuple]:
-    edges = dist.bin_edges
-    return [
-        (float(edges[i]), float(edges[i + 1]), float(dist.densities[i]))
-        for i in range(len(dist.densities))
-    ]
+def _write_hist(out: OutputTracker, name: str, edges: np.ndarray, densities: np.ndarray) -> None:
+    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), densities.tolist())
+    out.csv(name, ["bin_left", "bin_right", "density"], rows)
+
+
+def _write_scan(out: OutputTracker, name: str, column: str, scan) -> None:
+    out.csv(name, ["N", "m", column, "std_err"], [(r.n, r.m, r.value, r.std_err) for r in scan.rows])
 
 
 def _summary_stats(dist) -> dict:
@@ -133,16 +127,21 @@ def _write_manifest(out: OutputTracker, args: argparse.Namespace, workers: int, 
     out.json("manifest.json", payload)
 
 
+def _gauss_law(spec: WitnessSpec, m: int):
+    """The N -> infinity Gaussian of w for m-fold mixtures: variance 1/(m k)
+    for a witness on k orthonormal vectors (k = 1 but for rankk)."""
+    return analytic.gauss_width(m * (spec.k or 1))
+
+
 def _overlay_density(spec: WitnessSpec, m: int):
     """Closed-form curve matching a w ensemble: the rank-2 law for a rank-2
-    witness on pure states, otherwise a Gaussian of variance 1/(m k) for a
-    witness on k orthonormal vectors (k = 1 but for rankk).  None for the
+    witness on pure states, otherwise ``_gauss_law``.  None for the
     per-state optimal witness."""
     if spec.kind == "optimal":
         return None
     if spec.kind == "rank2" and m == 1:
         return analytic.rank2(spec.lam)
-    return analytic.gauss_width(m * (spec.k or 1))
+    return _gauss_law(spec, m)
 
 
 def _write_overlay(out: OutputTracker, name: str, column: str, law, dist) -> float:
@@ -159,7 +158,7 @@ def cmd_wdist(args: argparse.Namespace, workers: int, out: OutputTracker) -> Non
     spec = WitnessSpec.parse(args.witness)
     dist = run_w_ensemble(dims, args.samples, args.m, args.seed, workers, spec)
 
-    out.csv("wdist_hist.csv", ["bin_left", "bin_right", "density"], _hist_rows(dist))
+    _write_hist(out, "wdist_hist.csv", dist.bin_edges, dist.densities)
 
     summary = _summary_stats(dist)
     summary["witness"] = str(spec)
@@ -179,27 +178,22 @@ def cmd_ptspec(args: argparse.Namespace, workers: int, out: OutputTracker) -> No
     dims = BipartiteDims(*args.dims)
     dist = run_pt_spectrum(dims, args.m, args.states, seed=args.seed, workers=workers)
 
-    out.csv("ptspec_hist.csv", ["bin_left", "bin_right", "density"], _hist_rows(dist))
+    _write_hist(out, "ptspec_hist.csv", dist.bin_edges, dist.densities)
 
     summary = _summary_stats(dist)
     summary["dims"] = [dims.n_a, dims.n_b]
     summary["m"] = args.m
     summary["states"] = args.states
     summary["kurtosis_ratio"] = kurtosis_ratio(dist.samples)
-    if args.m == 1:
+    if args.m == 1 and dims.n_a == dims.n_b:
+        # the elliptic law is the N x N case of a law that depends on n_a / n_b
         summary["ks_vs_pt_law"] = _write_overlay(out, "ptspec_overlay.csv", "y", analytic.pt_eigs(), dist)
     if args.m >= dims.n_a:
-        # near the maximally mixed regime the natural variable is N^2 lambda
-        scaled = dims.n_a * dist.samples
+        # near the maximally mixed regime the natural variable is n_a n_b lambda
+        scaled = max(dims.n_a, dims.n_b) * dist.samples
         edges = np.linspace(scaled.min(), scaled.max(), 81)
         counts, _ = np.histogram(scaled, bins=edges)
-        width = np.diff(edges)
-        dens = counts / counts.sum() / width
-        out.csv(
-            "ptspec_hist_scaled.csv",
-            ["bin_left", "bin_right", "density"],
-            [(float(edges[i]), float(edges[i + 1]), float(dens[i])) for i in range(len(dens))],
-        )
+        _write_hist(out, "ptspec_hist_scaled.csv", edges, counts / counts.sum() / np.diff(edges))
     out.json("ptspec_summary.json", summary)
 
 
@@ -208,11 +202,7 @@ def cmd_lmin(args: argparse.Namespace, workers: int, out: OutputTracker) -> None
     m_list = _int_list(args.m_list)
     scan = run_lambda_min_scan(n_list, m_list, args.reps, seed=args.seed, workers=workers)
 
-    out.csv(
-        "lmin_scan.csv",
-        ["N", "m", "mean_lambda_min", "std_err"],
-        [(r.n, r.m, r.value, r.std_err) for r in scan.rows],
-    )
+    _write_scan(out, "lmin_scan.csv", "mean_lambda_min", scan)
     out.json(
         "lmin_summary.json",
         {
@@ -225,27 +215,22 @@ def cmd_lmin(args: argparse.Namespace, workers: int, out: OutputTracker) -> None
 
 def cmd_decay(args: argparse.Namespace, workers: int, out: OutputTracker) -> None:
     dims = BipartiteDims(*args.dims)
+    spec = WitnessSpec.parse(args.witness)
     scan = run_mixture_decay(
         dims,
         m_max=args.m_max,
         samples_base=args.samples,
         seed=args.seed,
         workers=workers,
-        witness_spec=WitnessSpec.parse(args.witness),
+        witness_spec=spec,
     )
-    out.csv(
-        "decay_scan.csv",
-        ["N", "m", "detection_probability", "std_err"],
-        [(r.n, r.m, r.value, r.std_err) for r in scan.rows],
-    )
+    _write_scan(out, "decay_scan.csv", "detection_probability", scan)
     summary = {
         "slope": scan.metadata.get("slope"),
         "slope_std_err": scan.metadata.get("slope_std_err"),
         "slope_fit_min_m": scan.metadata["slope_fit_min_m"],
         "witness": scan.metadata["witness_spec"],
-        "exact_gaussian_tail": {
-            str(r.m): analytic.detection_probability(analytic.gauss_width(float(r.m))) for r in scan.rows
-        },
+        "exact_gaussian_tail": {str(r.m): analytic.detection_probability(_gauss_law(spec, r.m)) for r in scan.rows},
     }
     out.json("decay_summary.json", summary)
 
@@ -254,11 +239,7 @@ def cmd_densecoding(args: argparse.Namespace, workers: int, out: OutputTracker) 
     dims = BipartiteDims(*args.dims)
     m_list = _int_list(args.m_list)
     scan = dense_coding_scan(dims, m_list, repetitions=args.reps, seed=args.seed, workers=workers)
-    out.csv(
-        "densecoding_scan.csv",
-        ["N", "m", "margin_bits", "std_err"],
-        [(r.n, r.m, r.value, r.std_err) for r in scan.rows],
-    )
+    _write_scan(out, "densecoding_scan.csv", "margin_bits", scan)
     out.json(
         "densecoding_summary.json",
         {
@@ -276,8 +257,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help=f"worker processes (default: all cores; env {WORKERS_ENV} overrides). "
-        "Results do not depend on this value.",
+        help="worker processes (default: all cores). Results do not depend on this value.",
     )
 
 
@@ -311,9 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "ptspec",
         help="eigenvalue density of the partial transpose",
-        description="Pooled eigenvalues of rho^T_B over an ensemble, scaled as y = N*lambda; "
-        "for m=1 the elliptic-integral law is overlaid and a KS distance reported; "
-        "for m >= N a histogram of N^2*lambda and the semicircle kurtosis ratio.",
+        description="Pooled eigenvalues of rho^T_B over an ensemble, scaled as "
+        "y = min(N_A, N_B)*lambda; for m=1 and N_A = N_B the elliptic-integral law is "
+        "overlaid and a KS distance reported; for m >= N_A a histogram of N_A*N_B*lambda "
+        "and the semicircle kurtosis ratio.",
     )
     p.add_argument("--dims", type=int, nargs=2, default=[32, 32], metavar=("N_A", "N_B"))
     p.add_argument("--m", type=int, default=1)

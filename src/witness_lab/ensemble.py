@@ -514,12 +514,12 @@ def run_pt_spectrum(
     workers: int = 1,
 ) -> EmpiricalDistribution:
     """Pooled spectrum of rho^T_B over an ensemble of ``states`` mixtures,
-    as the scaled variable y = n_a * lambda.
+    as the scaled variable y = min(n_a, n_b) * lambda.
 
     For pure states (m = 1) the spectrum comes straight from the Schmidt
-    coefficients, and the n_a algebraically known "diagonal" eigenvalues
-    mu_i^2 are excluded, since the off-diagonal law is what the histogram
-    is compared against; for m > 1 the full matrix is solved and nothing is
+    coefficients, and the algebraically known "diagonal" eigenvalues mu_i^2
+    are excluded, since the off-diagonal law is what the histogram is
+    compared against; for m > 1 the full matrix is solved and nothing is
     excluded.
 
     State i always draws from the stream (seed, _STREAM_PT, i), so the
@@ -539,7 +539,7 @@ def run_pt_spectrum(
         for start in range(0, states, per_task)
     ]
     parts = _map_ordered(_pt_state_task, tasks, workers)
-    y = dims.n_a * np.concatenate(parts)
+    y = dims.schmidt_len * np.concatenate(parts)
     return empirical_from_samples(y, DEFAULT_Y_BINS)
 
 

@@ -215,10 +215,10 @@ def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
 def sample_w_overlap_model(
     sigma_a_eigenvalues: np.ndarray,
     rng: np.random.Generator,
-    size: int | None = None,
-) -> "float | np.ndarray":
-    """Draw w from the overlap model: independent exponential overlap
-    magnitudes y_ij and uniform phases give
+    size: int,
+) -> np.ndarray:
+    """Draw ``size`` values of w from the overlap model: independent
+    exponential overlap magnitudes y_ij and uniform phases give
 
         w = sum_ij sqrt(lam_i lam_j) sqrt(y_ij y_ji) cos(phi_ij - phi_ji).
 
@@ -239,9 +239,7 @@ def sample_w_overlap_model(
         raise ValueError(f"eigenvalues must sum to 1, got {lam.sum()!r}")
     off = np.sqrt(np.outer(lam, lam)[np.triu_indices(len(lam), k=1)])
     c = np.concatenate([lam, off, -off])
-    n = 1 if size is None else int(size)
-    w = rng.standard_exponential((n, len(c))) @ c
-    return float(w[0]) if size is None else w
+    return rng.standard_exponential((int(size), len(c))) @ c
 
 
 def predicted_cumulants(spectrum: WitnessSpectrum, m: int = 1) -> dict[int, float]:

@@ -58,14 +58,6 @@ class TestWdist:
         assert file_bytes(out1 / "wdist_hist.csv") == file_bytes(out2 / "wdist_hist.csv")
         assert file_bytes(out1 / "wdist_summary.json") == file_bytes(out2 / "wdist_summary.json")
 
-    def test_env_var_overrides_workers(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "e1", tmp_path / "e2"
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        assert run_cli(SMALL_WDIST + ["--out", out1]) == 0
-        monkeypatch.delenv(cli.WORKERS_ENV)
-        assert run_cli(SMALL_WDIST + ["--out", out2]) == 0
-        assert file_bytes(out1 / "wdist_hist.csv") == file_bytes(out2 / "wdist_hist.csv")
-
     def test_rank2_witness_flag(self, tmp_path):
         out = tmp_path / "r2"
         args = ["wdist", "--dims", "8", "8", "--samples", "2000", "--witness", "rank2:0.5", "--seed", "3", "--out", out]
@@ -114,14 +106,9 @@ class TestWdist:
         monkeypatch.setattr(cli.OutputTracker, "json", real_json)
         assert list(out.glob("*.csv")) == []
 
-    @pytest.mark.parametrize("how", ["flag", "env"])
-    def test_zero_workers_rejected(self, tmp_path, capsys, monkeypatch, how):
+    def test_zero_workers_rejected(self, tmp_path, capsys):
         out = tmp_path / "w0"
-        args = ["wdist", "--dims", "8", "8", "--samples", "100", "--out", out]
-        if how == "flag":
-            args += ["--workers", "0"]
-        else:
-            monkeypatch.setenv(cli.WORKERS_ENV, "0")
+        args = ["wdist", "--dims", "8", "8", "--samples", "100", "--workers", "0", "--out", out]
         assert run_cli(args) == 1
         assert "workers must be >= 1, got 0" in capsys.readouterr().err
         assert list(out.iterdir()) == []
@@ -140,6 +127,20 @@ class TestPtspec:
         assert "ks_vs_pt_law" in summary
         assert (out / "ptspec_overlay.csv").exists()
         assert not (out / "ptspec_hist_scaled.csv").exists()
+
+    def test_rectangular_dims_scale_by_the_smaller_one(self, tmp_path):
+        # y = min(n_a, n_b) lambda has one law for 32 x 8 and 8 x 32, and the
+        # elliptic law, the N x N case, is not overlaid on it
+        variances = []
+        for shape in (("32", "8"), ("8", "32")):
+            out = tmp_path / "x".join(shape)
+            args = ["ptspec", "--dims", *shape, "--m", "1", "--states", "100", "--workers", "1", "--out", out]
+            assert run_cli(args) == 0
+            summary = read_json(out / "ptspec_summary.json")
+            assert "ks_vs_pt_law" not in summary
+            assert not (out / "ptspec_overlay.csv").exists()
+            variances.append(summary["variance"])
+        assert variances[0] == pytest.approx(variances[1], rel=0.05)
 
     def test_mixture_outputs_scaled_histogram(self, tmp_path):
         out = tmp_path / "ptm"
@@ -215,6 +216,15 @@ class TestScans:
         assert summary["slope"] < 0
         assert len(summary["exact_gaussian_tail"]) == 4
 
+    def test_decay_rankk_gaussian_matches_wdist_overlay(self, tmp_path):
+        # a rank-k witness narrows w to variance 1 / (m k), as in wdist
+        out = tmp_path / "dk"
+        args = ["decay", "--dims", "8", "8", "--m-max", "2", "--samples", "500", "--witness", "rankk:4", "--workers", "1", "--out", out]
+        assert run_cli(args) == 0
+        tails = read_json(out / "decay_summary.json")["exact_gaussian_tail"]
+        assert tails["1"] == analytic.detection_probability(analytic.gauss_width(4))
+        assert tails["2"] == analytic.detection_probability(analytic.gauss_width(8))
+
     def test_densecoding_outputs(self, tmp_path):
         out = tmp_path / "den"
         args = ["densecoding", "--dims", "8", "8", "--m-list", "1,8,64", "--reps", "2", "--seed", "5", "--out", out]
@@ -272,13 +282,13 @@ class TestManifest:
         assert manifest["blas_threads_per_task"] == ensemble.BLAS_THREADS_PER_TASK
         assert manifest["blas_threads_per_task"] in (1, None)
 
-    def test_manifest_records_resolved_workers(self, tmp_path, monkeypatch):
-        out = tmp_path / "env"
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        assert run_cli(SMALL_WDIST + ["--out", out]) == 0
+    def test_manifest_records_resolved_workers(self, tmp_path):
+        out = tmp_path / "default"
+        args = ["wdist", "--dims", "8", "8", "--samples", "1500", "--seed", "7", "--out", out]
+        assert run_cli(args) == 0
         manifest = read_json(out / "manifest.json")
-        assert manifest["workers"] == 2
-        assert manifest["config"]["workers"] == 1  # the flag as given
+        assert manifest["workers"] == (os.cpu_count() or 1)
+        assert manifest["config"]["workers"] is None  # the flag as given
 
     def test_pyproject_version_is_the_package_version(self):
         text = (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()
@@ -303,7 +313,6 @@ class TestCoreCountIndependence:
         for threads in ("1", "2"):
             out = tmp_path / f"t{threads}"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
-            env.pop(cli.WORKERS_ENV, None)
             cmd = [sys.executable, "-m", "witness_lab.cli", *args, "--workers", "1", "--out", str(out)]
             subprocess.run(cmd, env=env, check=True, timeout=300)
             data[threads] = [file_bytes(out / f) for f in outputs]
@@ -318,3 +327,16 @@ def test_cli_import_loads_no_test_only_package():
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
     assert run.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_module():
+    # the package root holds only the version; every name is imported from
+    # the module that defines it
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, witness_lab; "
+        "print(witness_lab.__version__, [m for m in sys.modules if m.split('.')[0] == 'numpy' or m.startswith('witness_lab.')])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert run.stdout.split() == [__version__, "[]"]

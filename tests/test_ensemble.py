@@ -323,7 +323,7 @@ class TestPtSpectrum:
                 for i in range(300)
             ]
         )
-        assert np.array_equal(dist.samples, dims.n_a * want)
+        assert np.array_equal(dist.samples, dims.schmidt_len * want)
 
     def test_chunks_do_not_depend_on_the_worker_count(self):
         dims = BipartiteDims(16, 16)

@@ -56,6 +56,19 @@ def w_batch(witness, dims, count, r):
     return dims.total * q
 
 
+def schmidt_diag_w(mu, amps):
+    """w of a (count, n_a, n_b) stack of amplitude matrices against the
+    witness of the Schmidt-diagonal vector sum_i mu_i |ii>.  With Phi =
+    diag(mu) the contraction is sum_ij mu_i mu_j psi_ij conj(psi_ji), an
+    elementwise sum over the len(mu) x len(mu) corner of each matrix."""
+    r, block = len(mu), 256  # blocks of states that stay in cache
+    q = np.empty(len(amps))
+    for s in range(0, len(amps), block):
+        psi = amps[s : s + block, :r, :r]
+        q[s : s + block] = np.einsum("ij,kij,kji->k", np.outer(mu, mu), psi, psi.conj()).real
+    return amps.shape[1] * amps.shape[2] * q
+
+
 class TestConstruction:
     def test_rank1_trace_one(self):
         w = witness_from_vector(sample_random_pure(BipartiteDims(3, 3), rng(1)))
@@ -283,9 +296,9 @@ class TestOverlapModel:
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
-            sample_w_overlap_model(np.array([0.7, 0.7]), rng(18))
+            sample_w_overlap_model(np.array([0.7, 0.7]), rng(18), size=1)
         with pytest.raises(ValueError):
-            sample_w_overlap_model(np.array([1.5, -0.5]), rng(18))
+            sample_w_overlap_model(np.array([1.5, -0.5]), rng(18), size=1)
 
     @pytest.mark.slow
     def test_matches_quantum_simulation(self):
@@ -299,11 +312,16 @@ class TestOverlapModel:
             model = np.concatenate(
                 [sample_w_overlap_model(probs, r_model, size=2048) for _ in range(49)]
             )
-            w = witness_from_vector(schmidt_diag_state(dims, probs))
+            mu = np.sqrt(probs)
             r_quantum = rng(seed + 100)
-            quantum = np.concatenate(
-                [w_batch(w, dims, 4096, r_quantum) for _ in range(25)]
-            )
+            shape = (4096, dims.n_a, dims.n_b)
+            batches = (sample_random_pure_batch(dims, 4096, r_quantum).reshape(shape) for _ in range(25))
+            quantum = np.concatenate([schmidt_diag_w(mu, amps) for amps in batches])
+            # the elementwise form against the generic contraction kernel
+            phi = schmidt_diag_state(dims, probs).matrix
+            small = sample_random_pure_batch(dims, 64, rng(seed + 200)).reshape(64, dims.n_a, dims.n_b)
+            generic = dims.total * pt_quadratic_form_batch(phi, small)
+            np.testing.assert_allclose(schmidt_diag_w(mu, small), generic, rtol=0, atol=1e-12)
             ks = stats.ks_2samp(model, quantum, method="asymp").statistic
             assert ks < 0.02, f"rank {r_rank}: KS = {ks}"
 
