@@ -170,46 +170,44 @@ class EmpiricalDistribution:
         return table[order]
 
 
-def _central_moments(n: float, s1: float, s2: float, s3: float, s4: float) -> tuple[float, float, float, float]:
+def _cumulants(n, s1, s2, s3, s4):
+    """Cumulants 2..4 from power sums about any origin; elementwise on arrays."""
     m1 = s1 / n
-    m2 = s2 / n - m1 * m1
-    m3 = s3 / n - 3 * m1 * s2 / n + 2 * m1**3
-    m4 = s4 / n - 4 * m1 * s3 / n + 6 * m1 * m1 * s2 / n - 3 * m1**4
-    return m1, m2, m3, m4
-
-
-def _cumulants_from_moments(m2: float, m3: float, m4: float) -> tuple[float, float, float]:
+    sq = m1 * m1
+    m2 = s2 / n - sq
+    m3 = s3 / n - 3 * m1 * s2 / n + 2 * sq * m1
+    m4 = s4 / n - 4 * m1 * s3 / n + 6 * sq * s2 / n - 3 * sq * sq
     return m2, m3, m4 - 3 * m2 * m2
 
 
 def empirical_from_samples(samples: np.ndarray, bin_edges: np.ndarray = DEFAULT_W_BINS) -> EmpiricalDistribution:
-    """Summarize a sample array (in sampling order, for block jackknife)."""
+    """Summarize a sample array (in sampling order, for block jackknife).
+    Power sums are taken about the mean, so a narrow law far from zero does
+    not cancel."""
     x = np.asarray(samples, dtype=np.float64)
     n = len(x)
     if n == 0:
         raise ValueError("need at least one sample")
 
-    s1, s2, s3, s4 = (float(np.sum(x**p)) for p in (1, 2, 3, 4))
-    m1, m2, m3, m4 = _central_moments(n, s1, s2, s3, s4)
-    k2, k3, k4 = _cumulants_from_moments(m2, m3, m4)
+    mean = float(x.mean())
+    powers = np.empty((4, n))
+    y = np.subtract(x, mean, out=powers[0])
+    y2 = np.multiply(y, y, out=powers[1])
+    np.multiply(y2, y, out=powers[2])
+    np.multiply(y2, y2, out=powers[3])
+    sums = powers.sum(axis=1)
+    k2, k3, k4 = map(float, _cumulants(n, *sums))
 
-    # leave-one-block-out jackknife over contiguous blocks
-    blocks = np.array_split(x, min(_JACKKNIFE_BLOCKS, n))
-    nb = len(blocks)
-    theta = np.empty((nb, 3))
-    for i, blk in enumerate(blocks):
-        bn = n - len(blk)
-        b1 = s1 - float(np.sum(blk))
-        b2 = s2 - float(np.sum(blk**2))
-        b3 = s3 - float(np.sum(blk**3))
-        b4 = s4 - float(np.sum(blk**4))
-        _, c2, c3, c4 = _central_moments(bn, b1, b2, b3, b4)
-        theta[i] = _cumulants_from_moments(c2, c3, c4)
+    # leave-one-block-out jackknife over np.array_split's contiguous blocks
+    nb = min(_JACKKNIFE_BLOCKS, n)
+    jk = np.zeros(3)
     if nb > 1:
-        dev = theta - theta.mean(axis=0)
-        jk = np.sqrt((nb - 1) / nb * np.sum(dev**2, axis=0))
-    else:
-        jk = np.zeros(3)
+        size, extra = divmod(n, nb)
+        starts = np.arange(nb) * size + np.minimum(np.arange(nb), extra)
+        rest = sums[:, None] - np.add.reduceat(powers, starts, axis=1)
+        theta = np.array(_cumulants(n - np.diff(starts, append=n), *rest))
+        dev = theta - theta.mean(axis=1, keepdims=True)
+        jk = np.sqrt((nb - 1) / nb * np.sum(dev * dev, axis=1))
 
     neg = float(np.count_nonzero(x < 0)) / n
     neg_se = math.sqrt(neg * (1.0 - neg) / n)
@@ -224,9 +222,9 @@ def empirical_from_samples(samples: np.ndarray, bin_edges: np.ndarray = DEFAULT_
         bin_edges=edges,
         densities=dens,
         sample_count=n,
-        mean=m1,
-        mean_std_err=math.sqrt(max(m2, 0.0) / n),
-        variance=m2,
+        mean=mean,
+        mean_std_err=math.sqrt(max(k2, 0.0) / n),
+        variance=k2,
         k2=k2,
         k3=k3,
         k4=k4,
@@ -255,8 +253,9 @@ def kurtosis_ratio(samples: np.ndarray) -> float:
     Gaussian)."""
     x = np.asarray(samples, dtype=np.float64)
     c = x - x.mean()
-    m2 = float(np.mean(c**2))
-    m4 = float(np.mean(c**4))
+    c2 = c * c
+    m2 = float(np.mean(c2))
+    m4 = float(np.mean(c2 * c2))
     return m4 / (m2 * m2)
 
 

@@ -255,7 +255,8 @@ def predicted_cumulants(spectrum: WitnessSpectrum, m: int = 1) -> dict[int, floa
     """
     n = len(spectrum.nonzero) + spectrum.zeros
     c = n * spectrum.nonzero - 1.0
-    p = [float(np.sum(c**j)) + spectrum.zeros * (-1.0) ** j for j in range(5)]
+    sums = np.cumprod([np.ones_like(c)] + [c] * 4, axis=0).sum(axis=1)  # sum c**j by running products
+    p = [float(s) + spectrum.zeros * (-1.0) ** j for j, s in enumerate(sums)]
     h = [1.0]
     for r in range(1, 5):
         h.append(sum(p[j] * h[r - j] for j in range(1, r + 1)) / r)

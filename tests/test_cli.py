@@ -113,6 +113,13 @@ class TestWdist:
         assert "workers must be >= 1, got 0" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_one_sample_gives_zero_errors(self, tmp_path):
+        out = tmp_path / "one"
+        assert run_cli(["wdist", "--dims", "4", "4", "--samples", "1", "--workers", "1", "--out", out]) == 0
+        summary = read_json(out / "wdist_summary.json")
+        assert summary["sample_count"] == 1
+        assert [summary[f"k{r}_std_err"] for r in (2, 3, 4)] == [0.0, 0.0, 0.0]
+
     def test_zero_m_is_usage_error(self, tmp_path):
         code = run_cli(["wdist", "--dims", "8", "8", "--samples", "100", "--m", "0", "--out", tmp_path / "x"])
         assert code != 0

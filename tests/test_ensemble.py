@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,34 @@ class TestWitnessSpec:
             run_w_ensemble(dims, 10, seed=-1)
 
 
+def _exact_summary(x: np.ndarray):
+    """k2..k4, their leave-one-block-out jackknife errors and mu4 / mu2^2 of
+    a float array in exact rationals: the floats are dyadic, so den * x is
+    an integer array and n * (den * x) - sum(den * x) centres it exactly."""
+    fracs = [Fraction(v) for v in x.tolist()]
+    den = max(f.denominator for f in fracs)
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+
+    def moments(part):
+        n, total = len(part), sum(part)
+        b = [n * a - total for a in part]
+        return [Fraction(sum(v**r for v in b), n ** (r + 1) * den**r) for r in (2, 3, 4)]
+
+    def cumulants(part):
+        m2, m3, m4 = moments(part)
+        return [m2, m3, m4 - 3 * m2 * m2]
+
+    m2, _, m4 = moments(ints)
+    blocks = np.array_split(np.arange(len(ints)), min(20, len(ints)))
+    theta = [cumulants(ints[: blk[0]] + ints[blk[-1] + 1 :]) for blk in blocks]
+    nb = len(theta)
+    errors = []
+    for r in range(3):
+        centre = sum(t[r] for t in theta) / nb
+        errors.append(math.sqrt(Fraction(nb - 1, nb) * sum((t[r] - centre) ** 2 for t in theta)))
+    return cumulants(ints), errors, m4 / (m2 * m2)
+
+
 class TestEmpirical:
     def test_histogram_normalization(self):
         x = rng(1).normal(1.0, 1.0, size=20_000)
@@ -109,6 +138,24 @@ class TestEmpirical:
         dist = empirical_from_samples(x)
         expected = math.sqrt(2.0 / len(x))
         assert 0.5 * expected < dist.k2_std_err < 2.0 * expected
+
+    @pytest.mark.parametrize(
+        "x",
+        [rng(11).standard_exponential(n) - 0.5 for n in (2, 3, 21, 1001)] + [1.0 + 1e-3 * rng(12).standard_normal(2000)],
+        ids=["n2", "n3", "n21", "n1001", "narrow_far_from_zero"],
+    )
+    def test_matches_exact_rational_oracle(self, x):
+        dist = empirical_from_samples(x)
+        cumulants, errors, ratio = _exact_summary(x)
+        for order, k, se in zip((2, 3, 4), cumulants, errors):
+            tol = 1e-12 * float(cumulants[0]) ** (order / 2)
+            assert dist.cumulant(order)[0] == pytest.approx(float(k), rel=1e-12, abs=tol)
+            assert dist.cumulant(order)[1] == pytest.approx(se, rel=1e-12, abs=tol)
+        assert kurtosis_ratio(x) == pytest.approx(float(ratio), rel=1e-12)
+        assert dist.mean == np.mean(x)
+        assert dist.neg_tail == np.count_nonzero(x < 0) / len(x)
+        counts, edges = np.histogram(x, bins=dist.bin_edges)
+        assert np.array_equal(dist.densities, counts / (counts.sum() * np.diff(edges)))
 
     def test_neg_tail_binomial_error(self):
         x = np.array([-1.0] * 25 + [1.0] * 75)
