@@ -136,12 +136,11 @@ def _gauss_law(spec: WitnessSpec, m: int):
 def _overlay_density(spec: WitnessSpec, m: int):
     """Closed-form curve matching a w ensemble: the rank-2 law for a rank-2
     witness on pure states, otherwise ``_gauss_law``.  None for the
-    per-state optimal witness."""
-    if spec.kind == "optimal":
+    per-state optimal witness, and for a rank-2 witness on mixtures, whose
+    law (the mean of m rank-2 draws) is not built and far from Gaussian."""
+    if spec.kind == "optimal" or (spec.kind == "rank2" and m > 1):
         return None
-    if spec.kind == "rank2" and m == 1:
-        return analytic.rank2(spec.lam)
-    return _gauss_law(spec, m)
+    return analytic.rank2(spec.lam) if spec.kind == "rank2" else _gauss_law(spec, m)
 
 
 def _write_overlay(out: OutputTracker, name: str, column: str, law, dist) -> float:
@@ -274,12 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
         "wdist",
         help="distribution of the rescaled witness expectation w",
         description="Histogram of w = N*N' tr(W rho) over random states (mixtures of m "
-        "Haar vectors), with the matching closed-form overlay. CSV columns: "
-        "bin_left, bin_right, density.",
+        "Haar vectors), with the matching closed-form overlay and its KS distance; "
+        "none for the optimal witness, nor for rank2 at m >= 2, whose law is not built. "
+        "CSV columns: bin_left, bin_right, density.",
     )
     p.add_argument("--dims", type=int, nargs=2, default=[32, 32], metavar=("N_A", "N_B"))
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--m", type=int, default=1, help="number of mixture components per state")
+    p.add_argument("--m", type=int, default=1, help="number of Haar pure states per mixture")
     p.add_argument(
         "--witness",
         default="random",

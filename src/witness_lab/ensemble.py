@@ -120,16 +120,11 @@ class WitnessSpec:
             if sep:
                 raise ValueError(f"witness spec {head} takes no argument, got {text!r}")
             return cls(head)
-        if head == "rank2":
+        if head in ("rank2", "rankk"):
             try:
-                return cls("rank2", lam=float(arg))
+                return cls("rank2", lam=float(arg)) if head == "rank2" else cls("rankk", k=int(arg))
             except ValueError as exc:
-                raise ValueError(f"bad rank2 witness spec {text!r}: {exc}") from None
-        if head == "rankk":
-            try:
-                return cls("rankk", k=int(arg))
-            except ValueError:
-                raise ValueError(f"bad rankk witness spec {text!r}") from None
+                raise ValueError(f"bad {head} witness spec {text!r}: {exc}") from None
         raise ValueError(f"unknown witness spec {text!r}")
 
     def __str__(self) -> str:

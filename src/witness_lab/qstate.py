@@ -12,7 +12,6 @@ transpose is always taken over subsystem B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +45,20 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rows(amplitudes, dims: BipartiteDims) -> np.ndarray:
+    """``amplitudes`` as a read-only, C-ordered complex (m, n_a n_b) array of
+    m >= 1 normalized rows; any other shape, or a row whose norm is off by
+    more than ``NORM_TOL`` (or is NaN), raises ValueError."""
+    amp = np.array(amplitudes, dtype=np.complex128, order="C")
+    if amp.ndim != 2 or len(amp) == 0 or amp.shape[1] != dims.total:
+        raise ValueError(f"expected m >= 1 rows of {dims.total} amplitudes, got shape {amp.shape}")
+    off = np.abs(np.linalg.norm(amp, axis=1) - 1.0).max()
+    if not off <= NORM_TOL:  # a NaN amplitude fails too
+        raise ValueError(f"state is not normalized: |norm - 1| = {off:.3e}")
+    amp.setflags(write=False)
+    return amp
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector on H_A (x) H_B."""
@@ -54,57 +67,40 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.shape != (self.dims.total,):
-            raise ValueError(f"expected {self.dims.total} amplitudes, got shape {amp.shape}")
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-        object.__setattr__(self, "amplitudes", _frozen_array(amp))
+        object.__setattr__(self, "amplitudes", _rows(np.asarray(self.amplitudes)[None], self.dims)[0])
 
     @property
     def matrix(self) -> np.ndarray:
         """Amplitudes as the n_a x n_b coefficient matrix (A on rows)."""
         return self.amplitudes.reshape(self.dims.n_a, self.dims.n_b)
 
-    def density_matrix(self) -> np.ndarray:
+    def to_matrix(self) -> np.ndarray:
+        """Density matrix |psi><psi|."""
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 @dataclass(frozen=True)
 class MixedState:
-    """Uniform mixture of the pure states ``components``, m of them.
+    """Uniform mixture of the m pure states whose amplitudes are the rows of
+    ``amplitudes``, an (m, n_a n_b) array.
 
-    Expectation values are evaluated component-wise, without materializing
-    the full matrix (which is quadratically larger).
+    Expectation values are evaluated row-wise, without materializing the
+    full matrix (which is quadratically larger).
     """
 
     dims: BipartiteDims
-    components: tuple[PureState, ...]
+    amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        for st in self.components:
-            if st.dims != self.dims:
-                raise ValueError("component dims mismatch")
-
-    @classmethod
-    def from_components(cls, states: "list[PureState] | tuple[PureState, ...]") -> "MixedState":
-        states = tuple(states)
-        if not states:
-            raise ValueError("need at least one pure component")
-        return cls(dims=states[0].dims, components=states)
+        object.__setattr__(self, "amplitudes", _rows(self.amplitudes, self.dims))
 
     @property
     def m(self) -> int:
-        return len(self.components)
-
-    @cached_property
-    def _materialized(self) -> np.ndarray:
-        return _frozen_array(mixture_density(np.stack([st.amplitudes for st in self.components])))
+        return len(self.amplitudes)
 
     def to_matrix(self) -> np.ndarray:
-        """Explicit density matrix; materialized lazily and cached."""
-        return self._materialized
+        """Explicit density matrix, formed anew on each call."""
+        return mixture_density(self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -144,11 +140,8 @@ def sample_random_pure_batch(dims: BipartiteDims, n: int, rng: np.random.Generat
 
 
 def mix_random_states(dims: BipartiteDims, m: int, rng: np.random.Generator) -> MixedState:
-    """Uniform mixture of ``m`` independently drawn Haar pure states."""
-    if m < 1:
-        raise ValueError(f"mixture size must be >= 1, got {m}")
-    amps = sample_random_pure_batch(dims, m, rng)
-    return MixedState.from_components([PureState(dims, a) for a in amps])
+    """Uniform mixture of ``m`` >= 1 independently drawn Haar pure states."""
+    return MixedState(dims, sample_random_pure_batch(dims, m, rng))
 
 
 def schmidt(state: PureState) -> SchmidtDecomposition:
@@ -179,12 +172,11 @@ def schmidt_pt_eigenvalues(mu: np.ndarray, include_diagonal: bool = True) -> np.
 
 
 def partial_trace_b(obj, dims: BipartiteDims | None = None) -> np.ndarray:
-    """Reduced state on A: (rho_A)_ij = sum_alpha rho_{i alpha, j alpha}."""
-    if isinstance(obj, PureState):
-        a = obj.matrix
-        return a @ a.conj().T
-    if isinstance(obj, MixedState):
-        mats = np.stack([st.matrix for st in obj.components])
+    """Reduced state on A: (rho_A)_ij = sum_alpha rho_{i alpha, j alpha}.
+    A pure or mixed state is read from its amplitude rows (a pure state is a
+    mixture of one); a bare density matrix needs its ``dims``."""
+    if isinstance(obj, (PureState, MixedState)):
+        mats = obj.amplitudes.reshape(-1, obj.dims.n_a, obj.dims.n_b)
         return np.einsum("kab,kcb->ac", mats, mats.conj()) / len(mats)
     if dims is None:
         raise ValueError("dims are required when passing a bare matrix")
@@ -246,14 +238,6 @@ def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims, include_diagon
         return schmidt_pt_eigenvalues(mu, include_diagonal)
     spectra = [np.linalg.eigvalsh(partial_transpose_b(mixture_density(a), dims)) for a in amps.reshape(-1, m, d)]
     return np.reshape(spectra, (*stack, d))
-
-
-def pure_pt_eigenvalues(state: PureState) -> np.ndarray:
-    """Ascending eigenvalues of the partial transpose of a pure-state
-    projector, from the Schmidt coefficients alone (see
-    ``mixture_pt_eigenvalues``); much cheaper than an explicit eigensolve
-    and exact."""
-    return np.sort(mixture_pt_eigenvalues(state.amplitudes[None], state.dims))
 
 
 def von_neumann_entropy(mat: np.ndarray) -> float:

@@ -18,8 +18,9 @@ from .qstate import (
     BipartiteDims,
     MixedState,
     PureState,
+    _rows,
+    mixture_pt_eigenvalues,
     partial_transpose_b,
-    pure_pt_eigenvalues,
     sample_random_pure_batch,
     schmidt,
 )
@@ -33,29 +34,29 @@ class Witness:
     """Witness Q^T_B with Q = sum_i d_i |phi_i><phi_i|.
 
     ``q_weights`` are the positive d_i summing to one, ``q_vectors`` the
-    corresponding pure states.  Builders enforce orthonormality of the
-    vectors; constructing the dataclass directly bypasses that check (used
-    deliberately in correlated-vector experiments).
+    (k, n_a n_b) array of the normalized |phi_i>, one per row.  Builders
+    enforce orthonormality of the vectors; constructing the dataclass
+    directly bypasses that check (used deliberately in correlated-vector
+    experiments).
     """
 
     dims: BipartiteDims
     q_weights: np.ndarray
-    q_vectors: tuple[PureState, ...]
+    q_vectors: np.ndarray
 
     def __post_init__(self) -> None:
+        v = _rows(self.q_vectors, self.dims)
         w = np.asarray(self.q_weights, dtype=np.float64)
-        if w.ndim != 1 or len(w) != len(self.q_vectors) or len(w) == 0:
+        if w.shape != (len(v),):
             raise ValueError("need one positive weight per vector")
         if np.any(w <= 0):
             raise ValueError("witness weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"witness weights must sum to 1, got {w.sum()!r}")
-        for phi in self.q_vectors:
-            if phi.dims != self.dims:
-                raise ValueError("witness vector dims mismatch")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "q_weights", w)
+        object.__setattr__(self, "q_vectors", v)
 
     @property
     def rank(self) -> int:
@@ -63,7 +64,7 @@ class Witness:
 
     def to_matrix(self) -> np.ndarray:
         """Materialize W = Q^T_B as an explicit Hermitian matrix."""
-        v = np.stack([phi.amplitudes for phi in self.q_vectors])
+        v = self.q_vectors
         return partial_transpose_b(v.T @ (self.q_weights[:, None] * v.conj()), self.dims)
 
 
@@ -91,7 +92,7 @@ class OptimalWitnessResult(NamedTuple):
 
 def witness_from_vector(phi: PureState) -> Witness:
     """Rank-one witness (|phi><phi|)^T_B."""
-    return Witness(dims=phi.dims, q_weights=np.array([1.0]), q_vectors=(phi,))
+    return Witness(dims=phi.dims, q_weights=np.array([1.0]), q_vectors=phi.amplitudes[None])
 
 
 def witness_rank_k(phis: "list[PureState] | tuple[PureState, ...]") -> Witness:
@@ -105,7 +106,7 @@ def witness_rank_k(phis: "list[PureState] | tuple[PureState, ...]") -> Witness:
     if np.abs(gram - np.eye(len(phis))).max() > ORTHONORMAL_TOL:
         raise ValueError("witness vectors are not orthonormal")
     k = len(phis)
-    return Witness(dims=phis[0].dims, q_weights=np.full(k, 1.0 / k), q_vectors=phis)
+    return Witness(dims=phis[0].dims, q_weights=np.full(k, 1.0 / k), q_vectors=v)
 
 
 def rank2_state(dims: BipartiteDims, lam: float) -> PureState:
@@ -122,8 +123,7 @@ def rank2_state(dims: BipartiteDims, lam: float) -> PureState:
 
 def random_haar_witness(dims: BipartiteDims, rng: np.random.Generator) -> Witness:
     """Rank-one witness from a Haar-random vector (full Schmidt rank a.s.)."""
-    amp = sample_random_pure_batch(dims, 1, rng)[0]
-    return witness_from_vector(PureState(dims, amp))
+    return Witness(dims=dims, q_weights=np.array([1.0]), q_vectors=sample_random_pure_batch(dims, 1, rng))
 
 
 def random_rank_k_witness(dims: BipartiteDims, k: int, rng: np.random.Generator) -> Witness:
@@ -133,8 +133,7 @@ def random_rank_k_witness(dims: BipartiteDims, k: int, rng: np.random.Generator)
         raise ValueError(f"need 1 <= k <= {dims.total}, got {k}")
     v = sample_random_pure_batch(dims, k, rng)
     q, _ = np.linalg.qr(v.T)
-    phis = tuple(PureState(dims, q[:, i]) for i in range(k))
-    return witness_rank_k(phis)
+    return Witness(dims=dims, q_weights=np.full(k, 1.0 / k), q_vectors=q.T)
 
 
 def pt_quadratic_form(phi_matrix: np.ndarray, psi_matrix: np.ndarray) -> float:
@@ -157,17 +156,17 @@ def pt_quadratic_form_batch(phi_matrix: np.ndarray, psi_matrices: np.ndarray) ->
 def expectation(witness: Witness, state: "PureState | MixedState") -> WitnessSample:
     """tr(W rho), rescaled by n_a * n_b.
 
-    The components of the state (a pure state is its own) are stacked and
-    take one ``pt_quadratic_form_batch`` call per witness vector, averaged
-    over the components.
+    The amplitude rows of the state (a pure state is one row) take one
+    ``pt_quadratic_form_batch`` call per witness vector, averaged over the
+    rows.
     """
-    if state.dims != witness.dims:
-        raise ValueError(f"dims mismatch: witness {witness.dims}, state {state.dims}")
-    pairs = zip(witness.q_weights, witness.q_vectors)
-    components = (state,) if isinstance(state, PureState) else state.components
-    psis = np.stack([st.matrix for st in components])
-    raw = sum(float(d * pt_quadratic_form_batch(phi.matrix, psis).mean()) for d, phi in pairs)
-    return WitnessSample(w=witness.dims.total * raw, raw=raw, m=len(components))
+    dims = witness.dims
+    if state.dims != dims:
+        raise ValueError(f"dims mismatch: witness {dims}, state {state.dims}")
+    psis = state.amplitudes.reshape(-1, dims.n_a, dims.n_b)
+    phis = witness.q_vectors.reshape(-1, dims.n_a, dims.n_b)
+    raw = sum(float(d * pt_quadratic_form_batch(phi, psis).mean()) for d, phi in zip(witness.q_weights, phis))
+    return WitnessSample(w=dims.total * raw, raw=raw, m=len(psis))
 
 
 def witness_spectrum(witness: Witness) -> WitnessSpectrum:
@@ -180,7 +179,7 @@ def witness_spectrum(witness: Witness) -> WitnessSpectrum:
     ``ZERO_EIGENVALUE_RTOL`` of zero, relative to the largest, count as zeros.
     """
     if witness.rank == 1:
-        eig = pure_pt_eigenvalues(witness.q_vectors[0])
+        eig = np.sort(mixture_pt_eigenvalues(witness.q_vectors, witness.dims))
     else:
         eig = np.linalg.eigvalsh(witness.to_matrix())
     nonzero = eig[np.abs(eig) > ZERO_EIGENVALUE_RTOL * np.abs(eig).max()]

@@ -6,7 +6,7 @@ from scipy import integrate
 
 from witness_lab.analytic import AnalyticDensity, density_eval
 from witness_lab.ensemble import WitnessSpec, derive_witness, empirical_from_samples, run_w_ensemble
-from witness_lab.qstate import BipartiteDims, MixedState, PureState
+from witness_lab.qstate import BipartiteDims, MixedState
 from witness_lab.witness import sample_w_overlap_model
 
 
@@ -29,7 +29,7 @@ def product_density(dims: BipartiteDims, r: np.random.Generator) -> np.ndarray:
 def maximally_mixed(dims: BipartiteDims) -> MixedState:
     """I/d as the uniform mixture of the d basis vectors (exactly I/d when
     d is a power of two)."""
-    return MixedState.from_components([PureState(dims, e) for e in np.eye(dims.total)])
+    return MixedState(dims, np.eye(dims.total))
 
 
 def law_interval(d: AnalyticDensity) -> tuple[float, float]:

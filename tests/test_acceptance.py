@@ -215,11 +215,11 @@ def test_c11_property_suites():
         failures.append("witness positivity")
 
     # pure-state PT spectrum identity {+-mu_i mu_j} U {mu_i^2}
-    from witness_lab.qstate import pure_pt_eigenvalues
+    from witness_lab.qstate import mixture_pt_eigenvalues
 
     psi = sample_random_pure(dims, r)
-    eigenvalues = np.linalg.eigvalsh(partial_transpose_b(psi.density_matrix(), dims))
-    if np.abs(eigenvalues - pure_pt_eigenvalues(psi)).max() > 1e-9:
+    eigenvalues = np.linalg.eigvalsh(partial_transpose_b(psi.to_matrix(), dims))
+    if np.abs(eigenvalues - np.sort(mixture_pt_eigenvalues(psi.amplitudes[None], dims))).max() > 1e-9:
         failures.append("PT spectrum identity")
 
     # closed-form density normalizations

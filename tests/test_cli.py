@@ -66,6 +66,16 @@ class TestWdist:
         assert summary["analytic_kind"] == "rank2"
         assert summary["analytic_neg_tail"] == pytest.approx(0.125, abs=1e-12)
 
+    def test_rank2_witness_on_mixtures_writes_no_law(self, tmp_path):
+        # the law of a rank-2 witness on m >= 2 mixtures is not built, and
+        # the Gaussian is far from it, so no overlay, tail or KS is written
+        out = tmp_path / "r2m2"
+        args = ["wdist", "--dims", "8", "8", "--samples", "2000", "--witness", "rank2:0.5", "--m", "2", "--out", out]
+        assert run_cli(args) == 0
+        assert not (out / "wdist_analytic.csv").exists()
+        summary = read_json(out / "wdist_summary.json")
+        assert not {"analytic_kind", "analytic_neg_tail", "ks_vs_analytic"} & set(summary)
+
     def test_rankk_overlay_width_is_exact(self, tmp_path):
         # the width 1 / sum(d_i^2) of ten weights 1/10 rounds to 9.999999999999996
         out = tmp_path / "rk"
@@ -310,6 +320,7 @@ class TestCoreCountIndependence:
     RUNS = {
         "lmin": (["lmin", "--dims-list", "16", "--m-list", "300,400", "--reps", "3"], ("lmin_scan.csv", "lmin_summary.json")),
         "ptspec": (["ptspec", "--dims", "16", "16", "--m", "300", "--states", "2"], ("ptspec_hist.csv", "ptspec_hist_scaled.csv", "ptspec_summary.json")),
+        "densecoding": (["densecoding", "--dims", "16", "16", "--m-list", "64,300", "--reps", "3"], ("densecoding_scan.csv", "densecoding_summary.json")),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))

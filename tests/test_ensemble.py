@@ -78,6 +78,12 @@ class TestWitnessSpec:
             with pytest.raises(ValueError):
                 WitnessSpec.parse(text)
 
+    def test_parse_error_keeps_the_reason(self):
+        with pytest.raises(ValueError, match=r"bad rankk witness spec 'rankk:0': .*needs k >= 1"):
+            WitnessSpec.parse("rankk:0")
+        with pytest.raises(ValueError, match=r"bad rank2 witness spec 'rank2:1.5': .*lambda in \(0, 1\)"):
+            WitnessSpec.parse("rank2:1.5")
+
     def test_config_validation(self):
         dims = BipartiteDims(4, 4)
         with pytest.raises(ValueError):
@@ -308,7 +314,8 @@ class TestSpectralSampler:
         w = _w_samples(dims, n, m, spectrum, (42, 1), workers=1)
 
         psi = sample_random_pure_batch(dims, n * m, rng(43)).reshape(n * m, dims.n_a, dims.n_b)
-        q = sum(d * pt_quadratic_form_batch(phi.matrix, psi) for d, phi in zip(witness.q_weights, witness.q_vectors))
+        phis = witness.q_vectors.reshape(-1, dims.n_a, dims.n_b)
+        q = sum(d * pt_quadratic_form_batch(phi, psi) for d, phi in zip(witness.q_weights, phis))
         oracle = dims.total * q.reshape(n, m).mean(axis=1)
         # DKW bound on each empirical CDF, false-alarm probability 1e-6 in all
         eps = 2 * math.sqrt(math.log(2 / 0.5e-6) / (2 * n))

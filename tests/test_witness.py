@@ -7,6 +7,7 @@ from scipy import stats
 from witness_lab.ensemble import empirical_from_samples, ks_statistic
 from witness_lab.qstate import (
     BipartiteDims,
+    MixedState,
     PureState,
     ghz_state,
     mix_random_states,
@@ -52,7 +53,7 @@ def w_batch(witness, dims, count, r):
     amps = sample_random_pure_batch(dims, count, r).reshape(count, dims.n_a, dims.n_b)
     q = np.zeros(count)
     for d, phi in zip(witness.q_weights, witness.q_vectors):
-        q += d * pt_quadratic_form_batch(phi.matrix, amps)
+        q += d * pt_quadratic_form_batch(phi.reshape(dims.n_a, dims.n_b), amps)
     return dims.total * q
 
 
@@ -104,7 +105,7 @@ class TestConstruction:
     def test_weights_must_normalize(self):
         dims = BipartiteDims(2, 2)
         with pytest.raises(ValueError):
-            Witness(dims, np.array([0.5, 0.4]), (product_state(dims), ghz_state(2)))
+            Witness(dims, np.array([0.5, 0.4]), np.stack([product_state(dims).amplitudes, ghz_state(2).amplitudes]))
 
     def test_witness_property_on_separable_states(self):
         dims = BipartiteDims(4, 4)
@@ -119,6 +120,54 @@ class TestConstruction:
             for _ in range(100):
                 rho = product_density(dims, r)
                 assert np.trace(mat @ rho).real >= -1e-10
+
+
+# the two types that hold amplitude rows, with the name of their row array
+ROW_HOLDERS = {
+    "MixedState": (lambda dims, rows: MixedState(dims, rows), "amplitudes"),
+    "Witness": (lambda dims, rows: Witness(dims, np.full(2, 0.5), rows), "q_vectors"),
+}
+
+
+class TestRowForm:
+    DIMS = BipartiteDims(2, 3)
+
+    @pytest.mark.parametrize("holder", sorted(ROW_HOLDERS))
+    @pytest.mark.parametrize("case", ["norm", "nan", "1-D", "empty", "width"])
+    def test_rejects_malformed_rows(self, holder, case):
+        good = np.eye(2, 6, dtype=complex)
+        off = good.copy()
+        off[1, 1] = 1 + 2e-12
+        rows, message = {
+            "norm": (off, "not normalized"),
+            "nan": (np.full((2, 6), np.nan), "not normalized"),
+            "1-D": (good[0], "rows of 6 amplitudes"),
+            "empty": (good[:0], "rows of 6 amplitudes"),
+            "width": (np.eye(2, 7), "rows of 6 amplitudes"),
+        }[case]
+        with pytest.raises(ValueError, match=message):
+            ROW_HOLDERS[holder][0](self.DIMS, rows)
+
+    @pytest.mark.parametrize("holder", sorted(ROW_HOLDERS))
+    def test_rows_are_a_read_only_copy(self, holder):
+        build, name = ROW_HOLDERS[holder]
+        rows = np.eye(2, 6, dtype=complex)
+        held = getattr(build(self.DIMS, rows), name)
+        assert held.shape == (2, 6) and not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0, 0] = 0
+        rows[0, 0] = 0
+        assert held[0, 0] == 1
+
+    def test_mixture_expectation_is_the_mean_over_rows(self):
+        dims = BipartiteDims(4, 5)
+        r = rng(50)
+        w = random_rank_k_witness(dims, 3, r)
+        rows = sample_random_pure_batch(dims, 7, r)
+        mixed = expectation(w, MixedState(dims, rows))
+        per_row = [expectation(w, PureState(dims, a)).raw for a in rows]
+        assert mixed.m == 7
+        assert abs(mixed.raw - np.mean(per_row)) <= 1e-15
 
 
 class TestExpectation:
@@ -197,9 +246,9 @@ class TestOptimalWitness:
         ]
         for st in states:
             res = optimal_witness(st)
-            rho_tb = partial_transpose_b(st.density_matrix(), st.dims)
+            rho_tb = partial_transpose_b(st.to_matrix(), st.dims)
             assert res.lambda_min == pytest.approx(np.linalg.eigvalsh(rho_tb)[0], abs=1e-12)
-            vec = res.witness.q_vectors[0].amplitudes
+            vec = res.witness.q_vectors[0]
             assert np.abs(rho_tb @ vec - res.lambda_min * vec).max() < 1e-12
             assert expectation(res.witness, st).raw == pytest.approx(res.lambda_min, abs=1e-12)
 
@@ -300,7 +349,6 @@ class TestOverlapModel:
         with pytest.raises(ValueError):
             sample_w_overlap_model(np.array([1.5, -0.5]), rng(18), size=1)
 
-    @pytest.mark.slow
     def test_matches_quantum_simulation(self):
         # two-sample KS between the overlap model and the full simulation,
         # r = 2 and r = 64, 1e5 draws each
@@ -385,11 +433,9 @@ class TestWidthStatistics:
         base = sample_random_pure_batch(dims, 2, r)
         mix = 0.6 * base[0] + 0.8 * base[1]
         mix /= np.linalg.norm(mix)
-        phi1 = PureState(dims, base[0])
-        phi2 = PureState(dims, mix)
         d1, d2 = 0.5, 0.5
-        w = Witness(dims, np.array([d1, d2]), (phi1, phi2))
-        overlap_sq = abs(np.vdot(phi1.amplitudes, phi2.amplitudes)) ** 2
+        w = Witness(dims, np.array([d1, d2]), np.stack([base[0], mix]))
+        overlap_sq = abs(np.vdot(base[0], mix)) ** 2
         predicted = d1**2 + d2**2 + 2 * d1 * d2 * overlap_sq
         r27 = rng(27)
         vals = np.concatenate([w_batch(w, dims, 4096, r27) for _ in range(25)])
@@ -424,7 +470,7 @@ class TestWidthStatistics:
             witness_from_vector(rank2_state(dims, 0.3)),
             random_rank_k_witness(dims, 5, r),
             witness_from_vector(product_state(dims)),
-            Witness(dims, np.array([0.3, 0.7]), tuple(PureState(dims, a) for a in base)),
+            Witness(dims, np.array([0.3, 0.7]), base),
         ]
         for w in witnesses:
             spectrum = witness_spectrum(w)
@@ -440,7 +486,7 @@ class TestWidthStatistics:
         plain = witness_from_vector(rank2_state(dims, lam))
         ua, _ = np.linalg.qr(r.standard_normal((16, 16)) + 1j * r.standard_normal((16, 16)))
         ub, _ = np.linalg.qr(r.standard_normal((16, 16)) + 1j * r.standard_normal((16, 16)))
-        rotated_mat = ua @ plain.q_vectors[0].matrix @ ub.T
+        rotated_mat = ua @ plain.q_vectors[0].reshape(16, 16) @ ub.T
         rotated = witness_from_vector(PureState(dims, rotated_mat.reshape(-1)))
         n = 40_000
         p_plain = np.mean(w_batch(plain, dims, n, rng(29)) < 0)
