@@ -135,7 +135,7 @@ class WitnessSpec:
         return self.kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """Histogram plus summary statistics of one scalar ensemble.
 
@@ -490,14 +490,15 @@ def run_mixture_decay(
 def _pt_state_task(task) -> np.ndarray:
     """PT eigenvalues of ``count`` consecutive states, state i drawn from the
     stream (seed, _STREAM_PT, i), concatenated in state order; one
-    ``mixture_pt_eigenvalues`` call on their stack, without the diagonal
-    values mu_i^2 of a pure state."""
+    ``mixture_pt_eigenvalues`` call on their stack.  A pure state's spectrum
+    drops its last ``schmidt_len`` values, the diagonal mu_i^2."""
     (seed, start, count, m, n_a, n_b) = task
     dims = BipartiteDims(n_a, n_b)
     amps = np.stack(
         [sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_PT, i)) for i in range(start, start + count)]
     )
-    return mixture_pt_eigenvalues(amps, dims, include_diagonal=False).ravel()
+    spectra = mixture_pt_eigenvalues(amps, dims)
+    return (spectra[:, : -dims.schmidt_len] if m == 1 else spectra).ravel()
 
 
 def run_pt_spectrum(
@@ -623,8 +624,7 @@ def run_lambda_min_scan(
 class CriticalMRow:
     n: int
     epsilon: float
-    m_crit: float | None
-    censored: bool  # scan range ended before the curve reached -epsilon
+    m_crit: float | None  # None: the scan ended before the curve reached -epsilon
 
 
 def critical_m(scan: ScanResult, epsilon: float, scaling: str = "const") -> tuple[CriticalMRow, ...]:
@@ -634,7 +634,7 @@ def critical_m(scan: ScanResult, epsilon: float, scaling: str = "const") -> tupl
 
     Crossings are linearly interpolated like m*; with epsilon = 0 this is
     exactly m*.  m_crit = 0 means not even the smallest scanned m is
-    detectable; a censored row means the scan ended while still detectable.
+    detectable; m_crit = None means the scan ended while still detectable.
     """
     if scaling not in ("const", "inv_N", "inv_N2"):
         raise ValueError(f"unknown scaling tag {scaling!r}")
@@ -646,27 +646,18 @@ def critical_m(scan: ScanResult, epsilon: float, scaling: str = "const") -> tupl
         ms, vals, _ = scan.for_n(n)
         target = -eps_n
         if vals[0] >= target:
-            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=0.0, censored=False))
+            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=0.0))
         elif vals[-1] < target:
-            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=None, censored=True))
+            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=None))
         else:
-            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=_interp_crossing(ms, vals, target), censored=False))
+            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=_interp_crossing(ms, vals, target)))
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DenseCodingResult:
-    usable: bool
-    margin_bits: float
-
-
-def dense_coding_usable(state: MixedState) -> DenseCodingResult:
-    """Dense-coding criterion S(rho_A) - S(rho) > 0, with the margin in
-    bits."""
-    s_a = von_neumann_entropy(partial_trace_b(state))
-    s_full = von_neumann_entropy(state.to_matrix())
-    margin = s_a - s_full
-    return DenseCodingResult(usable=margin > 0, margin_bits=margin)
+def dense_coding_margin(state: MixedState) -> float:
+    """Dense-coding margin S(rho_A) - S(rho) in bits; the state is usable
+    for dense coding when it is positive."""
+    return von_neumann_entropy(partial_trace_b(state)) - von_neumann_entropy(state.to_matrix())
 
 
 @dataclass(frozen=True)
@@ -712,7 +703,7 @@ def _dc_point_task(task) -> tuple[float, float]:
     vals = np.empty(reps)
     for rep in range(reps):
         state = mix_random_states(dims, m, _rng_for(seed, _STREAM_DC, point_idx, rep))
-        vals[rep] = dense_coding_usable(state).margin_bits
+        vals[rep] = dense_coding_margin(state)
     return _mean_and_std_err(vals)
 
 

@@ -59,7 +59,7 @@ def _rows(amplitudes, dims: BipartiteDims) -> np.ndarray:
     return amp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector on H_A (x) H_B."""
 
@@ -79,7 +79,7 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixedState:
     """Uniform mixture of the m pure states whose amplitudes are the rows of
     ``amplitudes``, an (m, n_a n_b) array.
@@ -103,7 +103,7 @@ class MixedState:
         return mixture_density(self.amplitudes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Schmidt data of a pure state: nonincreasing coefficients mu_i and the
     matching orthonormal bases of the two subsystems."""
@@ -160,15 +160,14 @@ def schmidt(state: PureState) -> SchmidtDecomposition:
     )
 
 
-def schmidt_pt_eigenvalues(mu: np.ndarray, include_diagonal: bool = True) -> np.ndarray:
+def schmidt_pt_eigenvalues(mu: np.ndarray) -> np.ndarray:
     """Partial-transpose spectrum of a pure state from its nonincreasing
     Schmidt coefficients ``mu``: +-mu_i mu_j for i < j, then the n
-    "diagonal" values mu_i^2 unless excluded, in that (unsorted) order.  A
-    (k, n) stack of coefficients gives a (k, ...) stack of spectra."""
+    "diagonal" values mu_i^2, in that (unsorted) order.  A (k, n) stack of
+    coefficients gives a (k, n^2) stack of spectra."""
     i, j = np.triu_indices(mu.shape[-1], k=1)
     off = mu[..., i] * mu[..., j]
-    parts = [off, -off, mu**2] if include_diagonal else [off, -off]
-    return np.concatenate(parts, axis=-1)
+    return np.concatenate([off, -off, mu**2], axis=-1)
 
 
 def partial_trace_b(obj, dims: BipartiteDims | None = None) -> np.ndarray:
@@ -221,7 +220,7 @@ def gram_density(gram: np.ndarray, m: int) -> np.ndarray:
     return rho
 
 
-def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims, include_diagonal: bool = True) -> np.ndarray:
+def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     """Eigenvalues of the partial transpose of the uniform mixture of the
     normalized rows of ``amps``, an (m, n_a n_b) array; a (..., m, n_a n_b)
     stack gives one spectrum per mixture, stacked the same way.
@@ -235,7 +234,7 @@ def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims, include_diagon
     if m == 1:
         # one batched SVD gives every matrix the bits it gets alone
         mu = np.linalg.svd(amps.reshape(*stack, dims.n_a, dims.n_b), compute_uv=False)
-        return schmidt_pt_eigenvalues(mu, include_diagonal)
+        return schmidt_pt_eigenvalues(mu)
     spectra = [np.linalg.eigvalsh(partial_transpose_b(mixture_density(a), dims)) for a in amps.reshape(-1, m, d)]
     return np.reshape(spectra, (*stack, d))
 

@@ -29,34 +29,24 @@ ORTHONORMAL_TOL = 1e-8
 ZERO_EIGENVALUE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
-    """Witness Q^T_B with Q = sum_i d_i |phi_i><phi_i|.
+    """Witness Q^T_B with Q = (1/k) sum_i |phi_i><phi_i|, the uniform mixture
+    of the k normalized rows |phi_i> of ``q_vectors``, a (k, n_a n_b) array.
 
-    ``q_weights`` are the positive d_i summing to one, ``q_vectors`` the
-    (k, n_a n_b) array of the normalized |phi_i>, one per row.  Builders
-    enforce orthonormality of the vectors; constructing the dataclass
-    directly bypasses that check (used deliberately in correlated-vector
-    experiments).
+    Unequal weights lose nothing: for orthonormal e_i, sum_i d_i |e_i><e_i|
+    is the uniform mixture of the k normalized rows
+    phi_j = sum_i sqrt(d_i) omega^(ij) e_i, omega = exp(2 pi i / k).
+    Builders enforce orthonormality of the vectors; constructing the
+    dataclass directly bypasses that check (used deliberately in
+    correlated-vector experiments).
     """
 
     dims: BipartiteDims
-    q_weights: np.ndarray
     q_vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        v = _rows(self.q_vectors, self.dims)
-        w = np.asarray(self.q_weights, dtype=np.float64)
-        if w.shape != (len(v),):
-            raise ValueError("need one positive weight per vector")
-        if np.any(w <= 0):
-            raise ValueError("witness weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"witness weights must sum to 1, got {w.sum()!r}")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "q_weights", w)
-        object.__setattr__(self, "q_vectors", v)
+        object.__setattr__(self, "q_vectors", _rows(self.q_vectors, self.dims))
 
     @property
     def rank(self) -> int:
@@ -65,15 +55,7 @@ class Witness:
     def to_matrix(self) -> np.ndarray:
         """Materialize W = Q^T_B as an explicit Hermitian matrix."""
         v = self.q_vectors
-        return partial_transpose_b(v.T @ (self.q_weights[:, None] * v.conj()), self.dims)
-
-
-class WitnessSample(NamedTuple):
-    """One measured expectation: rescaled w, raw tr(W rho), mixture size."""
-
-    w: float
-    raw: float
-    m: int
+        return partial_transpose_b(v.T @ ((1.0 / len(v)) * v.conj()), self.dims)
 
 
 class WitnessSpectrum(NamedTuple):
@@ -86,18 +68,16 @@ class WitnessSpectrum(NamedTuple):
 
 class OptimalWitnessResult(NamedTuple):
     witness: Witness
-    lambda_min: float
-    ppt: bool
+    lambda_min: float  # nonnegative when the state is PPT
 
 
 def witness_from_vector(phi: PureState) -> Witness:
     """Rank-one witness (|phi><phi|)^T_B."""
-    return Witness(dims=phi.dims, q_weights=np.array([1.0]), q_vectors=phi.amplitudes[None])
+    return Witness(phi.dims, phi.amplitudes[None])
 
 
 def witness_rank_k(phis: "list[PureState] | tuple[PureState, ...]") -> Witness:
-    """Witness from k orthonormal vectors with uniform weights 1/k.  Rejects
-    non-orthonormal inputs."""
+    """Witness on k orthonormal vectors.  Rejects non-orthonormal inputs."""
     phis = tuple(phis)
     if not phis:
         raise ValueError("need at least one vector")
@@ -105,8 +85,7 @@ def witness_rank_k(phis: "list[PureState] | tuple[PureState, ...]") -> Witness:
     gram = v.conj() @ v.T
     if np.abs(gram - np.eye(len(phis))).max() > ORTHONORMAL_TOL:
         raise ValueError("witness vectors are not orthonormal")
-    k = len(phis)
-    return Witness(dims=phis[0].dims, q_weights=np.full(k, 1.0 / k), q_vectors=v)
+    return Witness(phis[0].dims, v)
 
 
 def rank2_state(dims: BipartiteDims, lam: float) -> PureState:
@@ -123,17 +102,17 @@ def rank2_state(dims: BipartiteDims, lam: float) -> PureState:
 
 def random_haar_witness(dims: BipartiteDims, rng: np.random.Generator) -> Witness:
     """Rank-one witness from a Haar-random vector (full Schmidt rank a.s.)."""
-    return Witness(dims=dims, q_weights=np.array([1.0]), q_vectors=sample_random_pure_batch(dims, 1, rng))
+    return Witness(dims, sample_random_pure_batch(dims, 1, rng))
 
 
 def random_rank_k_witness(dims: BipartiteDims, k: int, rng: np.random.Generator) -> Witness:
-    """Uniform-weight witness on k orthonormal vectors obtained by
-    QR-orthonormalizing k Haar draws."""
+    """Witness on k orthonormal vectors obtained by QR-orthonormalizing k
+    Haar draws."""
     if not 1 <= k <= dims.total:
         raise ValueError(f"need 1 <= k <= {dims.total}, got {k}")
     v = sample_random_pure_batch(dims, k, rng)
     q, _ = np.linalg.qr(v.T)
-    return Witness(dims=dims, q_weights=np.full(k, 1.0 / k), q_vectors=q.T)
+    return Witness(dims, q.T)
 
 
 def pt_quadratic_form(phi_matrix: np.ndarray, psi_matrix: np.ndarray) -> float:
@@ -153,20 +132,19 @@ def pt_quadratic_form_batch(phi_matrix: np.ndarray, psi_matrices: np.ndarray) ->
     return np.einsum("kij,kji->k", c, c.conj()).real
 
 
-def expectation(witness: Witness, state: "PureState | MixedState") -> WitnessSample:
-    """tr(W rho), rescaled by n_a * n_b.
+def expectation(witness: Witness, state: "PureState | MixedState") -> float:
+    """w = n_a n_b tr(W rho); the raw tr(W rho) is w / (n_a n_b).
 
     The amplitude rows of the state (a pure state is one row) take one
-    ``pt_quadratic_form_batch`` call per witness vector, averaged over the
-    rows.
+    ``pt_quadratic_form_batch`` call per witness vector, and w is the mean
+    over all pairs of a witness row and a state row.
     """
     dims = witness.dims
     if state.dims != dims:
         raise ValueError(f"dims mismatch: witness {dims}, state {state.dims}")
     psis = state.amplitudes.reshape(-1, dims.n_a, dims.n_b)
     phis = witness.q_vectors.reshape(-1, dims.n_a, dims.n_b)
-    raw = sum(float(d * pt_quadratic_form_batch(phi, psis).mean()) for d, phi in zip(witness.q_weights, phis))
-    return WitnessSample(w=dims.total * raw, raw=raw, m=len(psis))
+    return dims.total * float(np.mean([pt_quadratic_form_batch(phi, psis) for phi in phis]))
 
 
 def witness_spectrum(witness: Witness) -> WitnessSpectrum:
@@ -191,8 +169,8 @@ def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
     eigenvector of rho^T_B with minimal eigenvalue, partially transposed.
 
     Guarantees tr(W_opt rho) = lambda_min.  A nonnegative lambda_min means
-    the state is PPT and undetectable this way; the ``ppt`` flag is set and
-    the witness is still returned.
+    the state is PPT and undetectable this way; the witness is still
+    returned.
 
     For a pure state sum_i mu_i |a_i b_i> the answer is closed form:
     lambda_min = -mu_1 mu_2 with eigenvector (|a_1 b_2*> - |a_2 b_1*>)/sqrt(2),
@@ -208,7 +186,7 @@ def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
         vals, vecs = np.linalg.eigh(partial_transpose_b(state.to_matrix(), state.dims))
         vec, lam_min = vecs[:, 0], float(vals[0])
     w = witness_from_vector(PureState(state.dims, vec))
-    return OptimalWitnessResult(witness=w, lambda_min=lam_min, ppt=lam_min >= 0)
+    return OptimalWitnessResult(witness=w, lambda_min=lam_min)
 
 
 def sample_w_overlap_model(

@@ -168,7 +168,7 @@ def test_c09_ghz_contrast():
     for n_qubits in (2, 4, 8):
         g = ghz_state(n_qubits)
         res = optimal_witness(g)
-        w = expectation(res.witness, g).w
+        w = expectation(res.witness, g)
         total = g.dims.total
         ok = ok and abs(res.lambda_min + 0.5) < 1e-10 and abs(w + total / 2) < 1e-7
         details.append(f"n={n_qubits}: lambda_min = {res.lambda_min:.12f}, w = {w:.6f}")

@@ -14,8 +14,8 @@ from witness_lab.ensemble import (
     WitnessSpec,
     critical_m,
     cumulant_report,
+    dense_coding_margin,
     dense_coding_scan,
-    dense_coding_usable,
     derive_witness,
     empirical_from_samples,
     kurtosis_ratio,
@@ -38,13 +38,13 @@ from witness_lab.witness import pt_quadratic_form_batch, witness_spectrum
 from conftest import maximally_mixed, rank2_overlap_distribution, rng
 
 
-def _pure_pt_reference(amps: np.ndarray, dims: BipartiteDims, include_diagonal: bool) -> np.ndarray:
+def _pure_pt_reference(amps: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     """PT eigenvalues of one pure state as the Schmidt closed form was
     written before it took stacks: one SVD, then +-mu_i mu_j (i < j) and
     mu_i^2."""
     mu = np.linalg.svd(amps.reshape(dims.n_a, dims.n_b), compute_uv=False)
     off = np.outer(mu, mu)[np.triu_indices(len(mu), k=1)]
-    return np.concatenate([off, -off, mu**2] if include_diagonal else [off, -off])
+    return np.concatenate([off, -off, mu**2])
 
 
 def _equal_dists(a: EmpiricalDistribution, b: EmpiricalDistribution) -> bool:
@@ -281,7 +281,7 @@ class TestWEnsemble:
             for _ in range(min(ensemble.CHUNK_SAMPLES, samples - start)):
                 comps = sample_random_pure_batch(dims, m, gen)
                 if m == 1:
-                    lmin = _pure_pt_reference(comps[0], dims, True).min()
+                    lmin = _pure_pt_reference(comps[0], dims).min()
                 else:
                     lmin = np.linalg.eigvalsh(partial_transpose_b(mixture_density(comps), dims))[0]
                 want.append(dims.total * float(lmin))
@@ -315,7 +315,7 @@ class TestSpectralSampler:
 
         psi = sample_random_pure_batch(dims, n * m, rng(43)).reshape(n * m, dims.n_a, dims.n_b)
         phis = witness.q_vectors.reshape(-1, dims.n_a, dims.n_b)
-        q = sum(d * pt_quadratic_form_batch(phi, psi) for d, phi in zip(witness.q_weights, phis))
+        q = sum(pt_quadratic_form_batch(phi, psi) for phi in phis) / witness.rank
         oracle = dims.total * q.reshape(n, m).mean(axis=1)
         # DKW bound on each empirical CDF, false-alarm probability 1e-6 in all
         eps = 2 * math.sqrt(math.log(2 / 0.5e-6) / (2 * n))
@@ -372,11 +372,21 @@ class TestPtSpectrum:
         want = np.concatenate(
             [
                 _pure_pt_reference(
-                    sample_random_pure_batch(dims, 1, ensemble._rng_for(21, ensemble._STREAM_PT, i))[0], dims, False
-                )
+                    sample_random_pure_batch(dims, 1, ensemble._rng_for(21, ensemble._STREAM_PT, i))[0], dims
+                )[: -dims.schmidt_len]
                 for i in range(300)
             ]
         )
+        assert np.array_equal(dist.samples, dims.schmidt_len * want)
+
+    @pytest.mark.parametrize("shape", [(6, 10), (10, 6)])
+    def test_pure_samples_drop_the_diagonal_block(self, shape):
+        # 600 states at 6 x 10 are two chunks (546, 54); each state's whole
+        # spectrum ends in its schmidt_len values mu_i^2, which are dropped
+        dims = BipartiteDims(*shape)
+        dist = run_pt_spectrum(dims, m=1, states=600, seed=24)
+        amps = np.stack([sample_random_pure_batch(dims, 1, _rng_for(24, ensemble._STREAM_PT, i)) for i in range(600)])
+        want = mixture_pt_eigenvalues(amps, dims)[:, : -dims.schmidt_len].ravel()
         assert np.array_equal(dist.samples, dims.schmidt_len * want)
 
     def test_chunks_do_not_depend_on_the_worker_count(self):
@@ -545,7 +555,7 @@ class TestCriticalM:
     def test_inv_n2_scaling_tracks_n_squared(self, scan):
         rows = {r.n: r for r in critical_m(scan, 0.5, "inv_N2")}
         for row in rows.values():
-            assert not row.censored
+            assert row.m_crit is not None
         ratio8 = rows[8].m_crit / 8**2
         ratio12 = rows[12].m_crit / 12**2
         assert 0.5 < ratio8 / ratio12 < 2.0
@@ -643,17 +653,17 @@ class TestMixtureDecay:
 class TestDenseCoding:
     def test_pure_random_state_is_usable(self):
         st = mix_random_states(BipartiteDims(16, 16), 1, rng(23))
-        res = dense_coding_usable(st)
-        assert res.usable
+        margin = dense_coding_margin(st)
+        assert margin > 0
         expected = math.log2(16) - 1.0 / math.log(4.0)
-        assert abs(res.margin_bits - expected) < 0.05
+        assert abs(margin - expected) < 0.05
 
     def test_maximally_mixed_margin(self):
         dims = BipartiteDims(8, 8)
         st = maximally_mixed(dims)
-        res = dense_coding_usable(st)
-        assert not res.usable
-        assert res.margin_bits == pytest.approx(-math.log2(8), abs=1e-9)
+        margin = dense_coding_margin(st)
+        assert not margin > 0
+        assert margin == pytest.approx(-math.log2(8), abs=1e-9)
 
     def test_rejects_m_below_one(self):
         with pytest.raises(ValueError, match="mixture size must be >= 1, got 0"):

@@ -27,6 +27,14 @@ def random_density(n, r):
     return rho / np.trace(rho).real
 
 
+def pt_spectrum(amps, dims, include_diagonal):
+    """``mixture_pt_eigenvalues``, less a pure state's last ``schmidt_len``
+    values (the mu_i^2) unless ``include_diagonal``: the slice that
+    ``run_pt_spectrum`` takes at m = 1."""
+    got = mixture_pt_eigenvalues(amps, dims)
+    return got if include_diagonal or amps.shape[-2] > 1 else got[..., : -dims.schmidt_len]
+
+
 class TestDims:
     def test_rejects_small(self):
         with pytest.raises(ValueError):
@@ -246,12 +254,12 @@ class TestSpectrum:
         a = amps.reshape(m, n_a, n_b)
         rho_tb = np.einsum("kib,kja->iajb", a, a.conj()).reshape(dims.total, dims.total) / m
         direct = np.linalg.eigvalsh(rho_tb)
-        got = mixture_pt_eigenvalues(amps, dims, include_diagonal)
+        got = pt_spectrum(amps, dims, include_diagonal)
         if m > 1:
             np.testing.assert_allclose(got, direct, atol=1e-12)
             return
-        # pure state: +mu_i mu_j, then -mu_i mu_j, then mu_i^2 unless excluded,
-        # in that order; the rest of the spectrum is zeros
+        # pure state: +mu_i mu_j, then -mu_i mu_j, then mu_i^2 unless sliced
+        # off, in that order; the rest of the spectrum is zeros
         r = dims.schmidt_len
         half = r * (r - 1) // 2
         assert len(got) == 2 * half + (r if include_diagonal else 0)
@@ -271,9 +279,9 @@ class TestSpectrum:
         # eigensolve per mixture otherwise; leading axes keep their shape
         dims = BipartiteDims(n_a, n_b)
         amps = sample_random_pure_batch(dims, 6 * m, rng(70 + n_a + m)).reshape(6, m, dims.total)
-        got = mixture_pt_eigenvalues(amps, dims, include_diagonal)
-        assert np.array_equal(got, np.array([mixture_pt_eigenvalues(a, dims, include_diagonal) for a in amps]))
-        nested = mixture_pt_eigenvalues(amps.reshape(2, 3, m, dims.total), dims, include_diagonal)
+        got = pt_spectrum(amps, dims, include_diagonal)
+        assert np.array_equal(got, np.array([pt_spectrum(a, dims, include_diagonal) for a in amps]))
+        nested = pt_spectrum(amps.reshape(2, 3, m, dims.total), dims, include_diagonal)
         assert np.array_equal(nested, got.reshape(2, 3, -1))
 
 

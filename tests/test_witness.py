@@ -14,11 +14,13 @@ from witness_lab.qstate import (
     partial_transpose_b,
     sample_random_pure,
     sample_random_pure_batch,
+    schmidt,
 )
 from witness_lab.witness import (
     Witness,
     expectation,
     optimal_witness,
+    pt_quadratic_form,
     pt_quadratic_form_batch,
     predicted_cumulants,
     random_haar_witness,
@@ -52,9 +54,9 @@ def w_batch(witness, dims, count, r):
     """w over `count` Haar states, vectorized."""
     amps = sample_random_pure_batch(dims, count, r).reshape(count, dims.n_a, dims.n_b)
     q = np.zeros(count)
-    for d, phi in zip(witness.q_weights, witness.q_vectors):
-        q += d * pt_quadratic_form_batch(phi.reshape(dims.n_a, dims.n_b), amps)
-    return dims.total * q
+    for phi in witness.q_vectors:
+        q += pt_quadratic_form_batch(phi.reshape(dims.n_a, dims.n_b), amps)
+    return dims.total * q / witness.rank
 
 
 def schmidt_diag_w(mu, amps):
@@ -102,10 +104,19 @@ class TestConstruction:
         wk = witness_rank_k([phi])
         np.testing.assert_allclose(w1.to_matrix(), wk.to_matrix(), atol=0)
 
-    def test_weights_must_normalize(self):
-        dims = BipartiteDims(2, 2)
-        with pytest.raises(ValueError):
-            Witness(dims, np.array([0.5, 0.4]), np.stack([product_state(dims).amplitudes, ghz_state(2).amplitudes]))
+    @pytest.mark.parametrize("weights", [(0.3, 0.7), (0.2, 0.3, 0.5)])
+    def test_weighted_q_is_the_uniform_mixture_of_dft_rows(self, weights):
+        # sum_i d_i |e_i><e_i| is the uniform mixture of the normalized rows
+        # phi_j = sum_i sqrt(d_i) omega^(ij) e_i, omega = exp(2 pi i / k)
+        dims = BipartiteDims(3, 4)
+        d = np.array(weights)
+        k = len(d)
+        e = random_rank_k_witness(dims, k, rng(32)).q_vectors
+        omega = np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
+        phis = omega.T @ (np.sqrt(d)[:, None] * e)
+        q = e.T @ (d[:, None] * e.conj())
+        want = partial_transpose_b(q, dims)
+        assert np.abs(Witness(dims, phis).to_matrix() - want).max() <= 1e-14
 
     def test_witness_property_on_separable_states(self):
         dims = BipartiteDims(4, 4)
@@ -122,10 +133,28 @@ class TestConstruction:
                 assert np.trace(mat @ rho).real >= -1e-10
 
 
+# one instance of each type that holds arrays
+ARRAY_HOLDERS = {
+    "PureState": lambda: ghz_state(2),
+    "MixedState": lambda: maximally_mixed(BipartiteDims(2, 2)),
+    "SchmidtDecomposition": lambda: schmidt(ghz_state(2)),
+    "Witness": lambda: witness_from_vector(ghz_state(2)),
+    "EmpiricalDistribution": lambda: empirical_from_samples(np.arange(40.0)),
+}
+
+
+@pytest.mark.parametrize("holder", sorted(ARRAY_HOLDERS))
+def test_array_holders_compare_and_hash(holder):
+    # equality is identity: comparing arrays field by field would raise
+    a, b = ARRAY_HOLDERS[holder](), ARRAY_HOLDERS[holder]()
+    assert (a == a) is True and (a == b) is False
+    assert len({a, b, a}) == 2
+
+
 # the two types that hold amplitude rows, with the name of their row array
 ROW_HOLDERS = {
     "MixedState": (lambda dims, rows: MixedState(dims, rows), "amplitudes"),
-    "Witness": (lambda dims, rows: Witness(dims, np.full(2, 0.5), rows), "q_vectors"),
+    "Witness": (lambda dims, rows: Witness(dims, rows), "q_vectors"),
 }
 
 
@@ -165,9 +194,8 @@ class TestRowForm:
         w = random_rank_k_witness(dims, 3, r)
         rows = sample_random_pure_batch(dims, 7, r)
         mixed = expectation(w, MixedState(dims, rows))
-        per_row = [expectation(w, PureState(dims, a)).raw for a in rows]
-        assert mixed.m == 7
-        assert abs(mixed.raw - np.mean(per_row)) <= 1e-15
+        per_row = [expectation(w, PureState(dims, a)) / dims.total for a in rows]
+        assert abs(mixed / dims.total - np.mean(per_row)) <= 1e-15
 
 
 class TestExpectation:
@@ -181,9 +209,8 @@ class TestExpectation:
         dims = BipartiteDims(3, 4)
         w = witness_from_vector(sample_random_pure(dims, rng(6)))
         psi = sample_random_pure(dims, rng(7))
-        s = expectation(w, psi)
-        assert s.w == dims.total * s.raw
-        assert s.m == 1
+        phi = w.q_vectors[0].reshape(dims.n_a, dims.n_b)
+        assert expectation(w, psi) == dims.total * pt_quadratic_form(phi, psi.matrix)
 
     def test_quadratic_form_matches_explicit_matrix_path(self):
         # the two evaluation routes must agree to near round-off
@@ -193,10 +220,10 @@ class TestExpectation:
             mat = w.to_matrix()
             psi = sample_random_pure(dims, r)
             direct = float(np.vdot(psi.amplitudes, mat @ psi.amplitudes).real)
-            assert abs(expectation(w, psi).raw - direct) < 1e-10
+            assert abs(expectation(w, psi) / dims.total - direct) < 1e-10
             mixed = mix_random_states(dims, 3, r)
             explicit = float(np.trace(mat @ mixed.to_matrix()).real)
-            assert abs(expectation(w, mixed).raw - explicit) < 1e-10
+            assert abs(expectation(w, mixed) / dims.total - explicit) < 1e-10
 
     def test_ensemble_mean_is_one(self):
         dims = BipartiteDims(16, 16)
@@ -210,8 +237,8 @@ class TestExpectation:
         st = mix_random_states(dims, 2, rng(12))
         res = optimal_witness(st)
         s = expectation(res.witness, st)
-        assert s.raw == pytest.approx(res.lambda_min, abs=1e-9)
-        assert s.w == pytest.approx(-dims.total * abs(res.lambda_min), abs=1e-7)
+        assert s / dims.total == pytest.approx(res.lambda_min, abs=1e-9)
+        assert s == pytest.approx(-dims.total * abs(res.lambda_min), abs=1e-7)
 
 
 class TestOptimalWitness:
@@ -219,12 +246,12 @@ class TestOptimalWitness:
         for n in (2, 4, 6):
             res = optimal_witness(ghz_state(n))
             assert res.lambda_min == pytest.approx(-0.5, abs=1e-10)
-            assert not res.ppt
+            assert res.lambda_min < 0
 
     def test_maximally_mixed_is_ppt(self):
         dims = BipartiteDims(4, 4)
         res = optimal_witness(maximally_mixed(dims))
-        assert res.ppt
+        assert res.lambda_min >= 0
         assert res.lambda_min == pytest.approx(1.0 / 16.0, abs=1e-12)
 
     def test_mean_minimal_eigenvalue_approaches_minus_four_over_n(self):
@@ -250,7 +277,7 @@ class TestOptimalWitness:
             assert res.lambda_min == pytest.approx(np.linalg.eigvalsh(rho_tb)[0], abs=1e-12)
             vec = res.witness.q_vectors[0]
             assert np.abs(rho_tb @ vec - res.lambda_min * vec).max() < 1e-12
-            assert expectation(res.witness, st).raw == pytest.approx(res.lambda_min, abs=1e-12)
+            assert expectation(res.witness, st) / st.dims.total == pytest.approx(res.lambda_min, abs=1e-12)
 
     def test_no_random_vector_beats_lambda_min(self):
         dims = BipartiteDims(4, 4)
@@ -433,8 +460,8 @@ class TestWidthStatistics:
         base = sample_random_pure_batch(dims, 2, r)
         mix = 0.6 * base[0] + 0.8 * base[1]
         mix /= np.linalg.norm(mix)
-        d1, d2 = 0.5, 0.5
-        w = Witness(dims, np.array([d1, d2]), np.stack([base[0], mix]))
+        d1, d2 = 0.5, 0.5  # a witness weighs its rows uniformly
+        w = Witness(dims, np.stack([base[0], mix]))
         overlap_sq = abs(np.vdot(base[0], mix)) ** 2
         predicted = d1**2 + d2**2 + 2 * d1 * d2 * overlap_sq
         r27 = rng(27)
@@ -470,7 +497,7 @@ class TestWidthStatistics:
             witness_from_vector(rank2_state(dims, 0.3)),
             random_rank_k_witness(dims, 5, r),
             witness_from_vector(product_state(dims)),
-            Witness(dims, np.array([0.3, 0.7]), base),
+            Witness(dims, base),
         ]
         for w in witnesses:
             spectrum = witness_spectrum(w)
