@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__, analytic
 from .ensemble import (
-    BLAS_THREADS_PER_TASK,
     WitnessSpec,
     dense_coding_scan,
     ks_statistic,
@@ -32,7 +31,7 @@ from .ensemble import (
     run_pt_spectrum,
     run_w_ensemble,
 )
-from .qstate import BipartiteDims
+from .qstate import BLAS_THREADS_PER_TASK, DENSE_EIGENSOLVER, BipartiteDims
 
 
 def _fmt(x: float) -> str:
@@ -121,6 +120,7 @@ def _write_manifest(out: OutputTracker, args: argparse.Namespace, workers: int, 
         "version": __version__,
         "workers": workers,
         "blas_threads_per_task": BLAS_THREADS_PER_TASK,
+        "witness_eigensolver": DENSE_EIGENSOLVER,
         "wall_time_s": time.time() - t0,
         "outputs": [p.name for p in out.paths],
     }

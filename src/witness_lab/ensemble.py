@@ -26,30 +26,30 @@ on its length, and a longer scan keeps the rows of a shorter one.
 
 Thread policy
 -------------
-Every task runs on one BLAS thread, in a pool worker and in-process alike,
-so ``workers`` is the only parallelism and a multithreaded BLAS cannot
-change a task's bits with the machine's core count.  ``_map_ordered`` sets
-numpy's bundled OpenBLAS to one thread before it runs a task or forks a
-pool (workers inherit the setting), and never restores the caller's count:
-setting it again after a fork restarts OpenBLAS's thread pool, whose idle
-threads then spin.  So after its first ensemble map, a process computes on
-one BLAS thread.  When no OpenBLAS is found, nothing is set and
-``BLAS_THREADS_PER_TASK`` is None.
+Every numeric step runs on one BLAS thread, so ``workers`` is the only
+parallelism and the BLAS thread count a process starts with cannot change
+a bit of its results.  Importing ``qstate`` sets numpy's bundled OpenBLAS
+to one thread, so the witness build and its dense spectrum
+(``qstate.hermitian_eigenvalues``) run on one thread as the tasks do, and
+pool workers inherit the setting.  ``_map_ordered``, before it runs a task
+or forks a pool, and the dense spectrum, before its solve, set it back to
+one if a caller has raised it; they never restore the caller's count.
+When no OpenBLAS is found, nothing is set and
+``qstate.BLAS_THREADS_PER_TASK`` is None.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .qstate import (
     BipartiteDims,
     MixedState,
+    _one_blas_thread,
     gram_density,
     mix_random_states,
     mixture_pt_eigenvalues,
@@ -271,39 +271,10 @@ def derive_witness(dims: BipartiteDims, spec: WitnessSpec, seed: int) -> Witness
     return None
 
 
-def _openblas_thread_controls():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    when the library or its symbols are not found."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    names = (
-        ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-        ("openblas_get_num_threads", "openblas_set_num_threads"),
-    )
-    for path in sorted(libs.glob("lib*openblas*.so*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for get_name, set_name in names:
-            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-_OPENBLAS_THREADS = _openblas_thread_controls()
-BLAS_THREADS_PER_TASK = None if _OPENBLAS_THREADS is None else 1
-
-
 def _map_ordered(fn, tasks, workers: int):
     """``[fn(t) for t in tasks]``, over a process pool when ``workers`` > 1,
     each task on one BLAS thread (see the module docstring)."""
-    if _OPENBLAS_THREADS is not None:
-        get, put = _OPENBLAS_THREADS
-        if get() != 1:
-            put(1)
+    _one_blas_thread()
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
@@ -408,7 +379,7 @@ class ScanRow:
     std_err: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
     """Rows of (N, m, statistic, std_err) plus scan-level metadata."""
 

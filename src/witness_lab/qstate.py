@@ -7,16 +7,76 @@ The joint basis is ordered row-major as |i alpha> with the A index slow:
 ``amplitudes[i * n_b + alpha]``.  Reshaping a state vector to an
 ``(n_a, n_b)`` matrix therefore puts subsystem A on the rows.  The partial
 transpose is always taken over subsystem B.
+
+BLAS threads
+------------
+Importing this module sets numpy's bundled OpenBLAS to one thread, before
+any numeric work of the package, so a process computes every result on
+one BLAS thread whatever count it started with (see the "Thread policy" of
+``ensemble``).  When no OpenBLAS is found, nothing is set and
+``BLAS_THREADS_PER_TASK`` is None.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 NORM_TOL = 1e-12
 SCHMIDT_RANK_RTOL = 1e-12
+
+# per symbol naming of numpy's bundled OpenBLAS: its thread-count getter and
+# setter, LAPACKE's two-stage Hermitian eigensolver, and LAPACK's integer
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_", "scipy_LAPACKE_zheevd_2stage64_", ctypes.c_int64),
+    ("openblas_get_num_threads", "openblas_set_num_threads", "LAPACKE_zheevd_2stage", ctypes.c_int),
+)
+_LAPACK_COL_MAJOR = 102
+
+
+def _openblas():
+    """((get, set) of the thread count, zheevd_2stage) from numpy's bundled
+    OpenBLAS; the solver is None when the library lacks it, and both are
+    None when the library or its thread controls are not found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name, eig_name, lapack_int in _OPENBLAS_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            eig = getattr(lib, eig_name, None)
+            if eig is not None:
+                # (layout, jobz, uplo, n, a, lda, w) -> info
+                ptr = ctypes.c_void_p
+                eig.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, lapack_int, ptr, lapack_int, ptr]
+                eig.restype = lapack_int
+            return (get, put), eig
+    return None, None
+
+
+def _one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread unless it is there already:
+    setting it anew after a fork restarts its thread pool, whose idle
+    threads then spin."""
+    if _OPENBLAS_THREADS is not None:
+        get, put = _OPENBLAS_THREADS
+        if get() != 1:
+            put(1)
+
+
+_OPENBLAS_THREADS, _ZHEEVD_2STAGE = _openblas()
+_one_blas_thread()
+BLAS_THREADS_PER_TASK = None if _OPENBLAS_THREADS is None else 1
+DENSE_EIGENSOLVER = "eigvalsh" if _ZHEEVD_2STAGE is None else "zheevd_2stage"
 
 
 @dataclass(frozen=True)
@@ -237,6 +297,29 @@ def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims) -> np.ndarray:
         return schmidt_pt_eigenvalues(mu)
     spectra = [np.linalg.eigvalsh(partial_transpose_b(mixture_density(a), dims)) for a in amps.reshape(-1, m, d)]
     return np.reshape(spectra, (*stack, d))
+
+
+def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian (d, d) matrix, read from its
+    lower triangle; a C-ordered, writeable complex128 ``mat`` is destroyed.
+
+    LAPACK's two-stage tridiagonal reduction (``DENSE_EIGENSOLVER``
+    zheevd_2stage, eigenvalues only) solves it on one BLAS thread about as
+    fast as ``np.linalg.eigvalsh`` does on two.  Read column-major, the
+    C-ordered buffer is mat^T, whose upper triangle is mat's lower one and
+    whose eigenvalues are mat's, so LAPACKE makes no transposed copy.
+    Builds without the symbol take ``np.linalg.eigvalsh``.
+    """
+    if _ZHEEVD_2STAGE is None:
+        return np.linalg.eigvalsh(mat)
+    a = np.require(mat, np.complex128, ["C", "W"])
+    n = len(a)
+    vals = np.empty(n)
+    _one_blas_thread()
+    info = _ZHEEVD_2STAGE(_LAPACK_COL_MAJOR, b"N", b"U", n, a.ctypes.data, n, vals.ctypes.data)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zheevd_2stage failed with info = {info}")
+    return vals
 
 
 def von_neumann_entropy(mat: np.ndarray) -> float:

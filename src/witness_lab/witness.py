@@ -19,6 +19,7 @@ from .qstate import (
     MixedState,
     PureState,
     _rows,
+    hermitian_eigenvalues,
     mixture_pt_eigenvalues,
     partial_transpose_b,
     sample_random_pure_batch,
@@ -153,13 +154,14 @@ def witness_spectrum(witness: Witness) -> WitnessSpectrum:
     A rank-one witness has the closed-form spectrum of a
     partially transposed pure state, {mu_i^2} and {+-mu_i mu_j} from the
     Schmidt coefficients of its vector; anything else takes one dense
-    eigensolve of the (n_a n_b)^2 matrix.  Eigenvalues within
+    eigensolve of the (n_a n_b)^2 matrix, ``qstate.hermitian_eigenvalues``
+    on the fresh buffer of ``to_matrix``.  Eigenvalues within
     ``ZERO_EIGENVALUE_RTOL`` of zero, relative to the largest, count as zeros.
     """
     if witness.rank == 1:
         eig = np.sort(mixture_pt_eigenvalues(witness.q_vectors, witness.dims))
     else:
-        eig = np.linalg.eigvalsh(witness.to_matrix())
+        eig = hermitian_eigenvalues(witness.to_matrix())
     nonzero = eig[np.abs(eig) > ZERO_EIGENVALUE_RTOL * np.abs(eig).max()]
     return WitnessSpectrum(nonzero=nonzero, zeros=witness.dims.total - len(nonzero))
 
@@ -187,36 +189,6 @@ def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
         vec, lam_min = vecs[:, 0], float(vals[0])
     w = witness_from_vector(PureState(state.dims, vec))
     return OptimalWitnessResult(witness=w, lambda_min=lam_min)
-
-
-def sample_w_overlap_model(
-    sigma_a_eigenvalues: np.ndarray,
-    rng: np.random.Generator,
-    size: int,
-) -> np.ndarray:
-    """Draw ``size`` values of w from the overlap model: independent
-    exponential overlap magnitudes y_ij and uniform phases give
-
-        w = sum_ij sqrt(lam_i lam_j) sqrt(y_ij y_ji) cos(phi_ij - phi_ji).
-
-    sqrt(y) e^{i phi} is a standard complex Gaussian, and for two of them
-    2 Re(a conj(b)) = E - E' with E, E' independent Exp(1) (the squared
-    moduli of (a +- b)/sqrt(2)).  So w has the law of sum_k c_k E_k with
-    c = {lam_i} and {+sqrt(lam_i lam_j), -sqrt(lam_i lam_j)} for i < j,
-    which is how it is drawn.
-
-    This is a purely classical sampler over the witness's reduced spectrum
-    lam_i, independent of the quantum simulation path, and serves as its
-    statistical oracle.
-    """
-    lam = np.asarray(sigma_a_eigenvalues, dtype=np.float64)
-    if np.any(lam < 0):
-        raise ValueError("eigenvalues must be nonnegative")
-    if abs(lam.sum() - 1.0) > 1e-9:
-        raise ValueError(f"eigenvalues must sum to 1, got {lam.sum()!r}")
-    off = np.sqrt(np.outer(lam, lam)[np.triu_indices(len(lam), k=1)])
-    c = np.concatenate([lam, off, -off])
-    return rng.standard_exponential((int(size), len(c))) @ c
 
 
 def predicted_cumulants(spectrum: WitnessSpectrum, m: int = 1) -> dict[int, float]:

@@ -7,7 +7,6 @@ from scipy import integrate
 from witness_lab.analytic import AnalyticDensity, density_eval
 from witness_lab.ensemble import WitnessSpec, derive_witness, empirical_from_samples, run_w_ensemble
 from witness_lab.qstate import BipartiteDims, MixedState
-from witness_lab.witness import sample_w_overlap_model
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -48,6 +47,32 @@ def total_mass(d: AnalyticDensity) -> float:
     lo, hi = law_interval(d)
     pieces = [(a, b) for a, b in ((lo, 0.0), (0.0, hi)) if a < b]
     return sum(integrate.quad(lambda t: density_eval(d, t), a, b, limit=200, epsabs=1e-13)[0] for a, b in pieces)
+
+
+def sample_w_overlap_model(sigma_a_eigenvalues: np.ndarray, generator: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` values of w from the overlap model: independent
+    exponential overlap magnitudes y_ij and uniform phases give
+
+        w = sum_ij sqrt(lam_i lam_j) sqrt(y_ij y_ji) cos(phi_ij - phi_ji).
+
+    sqrt(y) e^{i phi} is a standard complex Gaussian, and for two of them
+    2 Re(a conj(b)) = E - E' with E, E' independent Exp(1) (the squared
+    moduli of (a +- b)/sqrt(2)).  So w has the law of sum_k c_k E_k with
+    c = {lam_i} and {+sqrt(lam_i lam_j), -sqrt(lam_i lam_j)} for i < j,
+    which is how it is drawn.
+
+    This is a purely classical sampler over the witness's reduced spectrum
+    lam_i, independent of the quantum simulation path, and serves as its
+    statistical oracle.
+    """
+    lam = np.asarray(sigma_a_eigenvalues, dtype=np.float64)
+    if np.any(lam < 0):
+        raise ValueError("eigenvalues must be nonnegative")
+    if abs(lam.sum() - 1.0) > 1e-9:
+        raise ValueError(f"eigenvalues must sum to 1, got {lam.sum()!r}")
+    off = np.sqrt(np.outer(lam, lam)[np.triu_indices(len(lam), k=1)])
+    c = np.concatenate([lam, off, -off])
+    return generator.standard_exponential((int(size), len(c))) @ c
 
 
 def rank2_overlap_distribution(lam: float, samples: int, generator: np.random.Generator):

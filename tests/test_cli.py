@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from witness_lab import __version__, analytic, cli, ensemble
+from witness_lab import __version__, analytic, cli, qstate
 
 
 def run_cli(args):
@@ -296,8 +296,10 @@ class TestManifest:
         assert set(manifest["outputs"]) == {"wdist_hist.csv", "wdist_analytic.csv", "wdist_summary.json"}
         assert "wdist" in manifest["command"]
         assert manifest["workers"] == 1
-        assert manifest["blas_threads_per_task"] == ensemble.BLAS_THREADS_PER_TASK
+        assert manifest["blas_threads_per_task"] == qstate.BLAS_THREADS_PER_TASK
         assert manifest["blas_threads_per_task"] in (1, None)
+        assert manifest["witness_eigensolver"] == qstate.DENSE_EIGENSOLVER
+        assert manifest["witness_eigensolver"] in ("zheevd_2stage", "eigvalsh")
 
     def test_manifest_records_resolved_workers(self, tmp_path):
         out = tmp_path / "default"
@@ -313,14 +315,17 @@ class TestManifest:
 
 
 class TestCoreCountIndependence:
-    """Each task runs on one BLAS thread, so the BLAS thread count a process
-    starts with does not reach the data files.  At 8 x 8 the solver stays
-    single-threaded anyway; 16 x 16 mixtures are where it would not."""
+    """Every numeric step runs on one BLAS thread, so the BLAS thread count a
+    process starts with does not reach the data files.  At 8 x 8 the solver
+    stays single-threaded anyway; 16 x 16 mixtures and the dense spectrum of
+    a 32 x 32 rank-k witness are where it would not."""
 
     RUNS = {
         "lmin": (["lmin", "--dims-list", "16", "--m-list", "300,400", "--reps", "3"], ("lmin_scan.csv", "lmin_summary.json")),
         "ptspec": (["ptspec", "--dims", "16", "16", "--m", "300", "--states", "2"], ("ptspec_hist.csv", "ptspec_hist_scaled.csv", "ptspec_summary.json")),
         "densecoding": (["densecoding", "--dims", "16", "16", "--m-list", "64,300", "--reps", "3"], ("densecoding_scan.csv", "densecoding_summary.json")),
+        "wdist-rankk": (["wdist", "--dims", "32", "32", "--samples", "4096", "--witness", "rankk:16", "--seed", "3"], ("wdist_hist.csv", "wdist_analytic.csv", "wdist_summary.json")),
+        "decay-rankk": (["decay", "--dims", "32", "32", "--m-max", "3", "--samples", "1000", "--witness", "rankk:2", "--seed", "3"], ("decay_scan.csv", "decay_summary.json")),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))

@@ -1,15 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from witness_lab.analytic import cdf_on_sorted, rank2 as rank2_density
-from witness_lab import ensemble
+from witness_lab import ensemble, qstate
 from witness_lab.ensemble import (
-    CriticalMRow,
     EmpiricalDistribution,
     WitnessSpec,
     critical_m,
@@ -171,18 +174,26 @@ class TestEmpirical:
 
 
 def _blas_threads(_task) -> int:
-    get, _ = ensemble._OPENBLAS_THREADS
+    get, _ = qstate._OPENBLAS_THREADS
     return get()
 
 
-@pytest.mark.skipif(ensemble._OPENBLAS_THREADS is None, reason="numpy's OpenBLAS was not found")
+@pytest.mark.skipif(qstate._OPENBLAS_THREADS is None, reason="numpy's OpenBLAS was not found")
 class TestBlasThreadPolicy:
+    def test_import_sets_one_thread(self):
+        # a process started on two threads computes on one once qstate is imported
+        code = "from witness_lab import qstate; print(qstate._OPENBLAS_THREADS[0]())"
+        src = Path(ensemble.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert run.stdout.strip() == "1"
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_task_runs_on_one_blas_thread(self, workers):
-        _, put = ensemble._OPENBLAS_THREADS
-        put(2)  # as at import on a multi-core machine; the map sets it back to 1
+        _, put = qstate._OPENBLAS_THREADS
+        put(2)  # as if a caller raised it after import; the map sets it back to 1
         assert ensemble._map_ordered(_blas_threads, [0, 1, 2, 3], workers) == [1, 1, 1, 1]
-        assert ensemble.BLAS_THREADS_PER_TASK == 1
+        assert qstate.BLAS_THREADS_PER_TASK == 1
 
 
 class TestDeterminism:
@@ -363,8 +374,7 @@ class TestPtSpectrum:
         assert frac_outside <= 1e-3
         assert dist.sample_count == 10 * 32 * 31
 
-    # ids as when the diagonal was a parameter, so they stay stable
-    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (16, 16)], ids=["shape0-False", "shape1-False", "shape2-False"])
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (16, 16)])
     def test_chunks_equal_a_per_state_loop(self, shape):
         # 300 states at 16 x 16 are three chunks (128, 128, 44)
         dims = BipartiteDims(*shape)

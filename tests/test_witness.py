@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from witness_lab.ensemble import empirical_from_samples, ks_statistic
+from witness_lab import qstate
+from witness_lab.ensemble import ScanResult, ScanRow, empirical_from_samples, ks_statistic
 from witness_lab.qstate import (
     BipartiteDims,
     MixedState,
@@ -26,13 +27,12 @@ from witness_lab.witness import (
     random_haar_witness,
     random_rank_k_witness,
     rank2_state,
-    sample_w_overlap_model,
     witness_from_vector,
     witness_rank_k,
     witness_spectrum,
 )
 
-from conftest import maximally_mixed, product_density, rng
+from conftest import maximally_mixed, product_density, rng, sample_w_overlap_model
 
 
 def product_state(dims):
@@ -133,19 +133,21 @@ class TestConstruction:
                 assert np.trace(mat @ rho).real >= -1e-10
 
 
-# one instance of each type that holds arrays
+# one instance of each type that holds arrays, or a dict (ScanResult)
 ARRAY_HOLDERS = {
     "PureState": lambda: ghz_state(2),
     "MixedState": lambda: maximally_mixed(BipartiteDims(2, 2)),
     "SchmidtDecomposition": lambda: schmidt(ghz_state(2)),
     "Witness": lambda: witness_from_vector(ghz_state(2)),
     "EmpiricalDistribution": lambda: empirical_from_samples(np.arange(40.0)),
+    "ScanResult": lambda: ScanResult(kind="x", rows=(ScanRow(1, 1, 0.0, 0.0),), metadata={}),
 }
 
 
 @pytest.mark.parametrize("holder", sorted(ARRAY_HOLDERS))
 def test_array_holders_compare_and_hash(holder):
-    # equality is identity: comparing arrays field by field would raise
+    # equality is identity: comparing arrays field by field would raise, and
+    # hashing a dict field would
     a, b = ARRAY_HOLDERS[holder](), ARRAY_HOLDERS[holder]()
     assert (a == a) is True and (a == b) is False
     assert len({a, b, a}) == 2
@@ -323,6 +325,44 @@ class TestWitnessSpectrum:
         dims = BipartiteDims(3, 4)
         spec = self._check_against_dense(random_rank_k_witness(dims, 3, rng(33)))
         assert spec.nonzero.sum() == pytest.approx(1.0, abs=1e-12)
+
+    # k = 16 exceeds n_a n_b = 15 at 3 x 5 and 5 x 3: there the witness has
+    # full rank, W = I/15, with one fifteen-fold eigenvalue
+    @pytest.mark.parametrize("k", [2, 3, 16])
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (8, 8), (32, 32)])
+    def test_dense_spectrum_matches_eigvalsh(self, shape, k):
+        dims = BipartiteDims(*shape)
+        w = random_rank_k_witness(dims, min(k, dims.total), rng(34))
+        spec = witness_spectrum(w)
+        full = np.sort(np.concatenate([spec.nonzero, np.zeros(spec.zeros)]))
+        dense = np.linalg.eigvalsh(w.to_matrix())
+        assert np.abs(full - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.skipif(qstate._OPENBLAS_THREADS is None, reason="numpy's OpenBLAS was not found")
+    def test_dense_spectrum_runs_on_one_blas_thread(self):
+        w = random_rank_k_witness(BipartiteDims(32, 32), 16, rng(35))
+        get, put = qstate._OPENBLAS_THREADS
+        spectra = []
+        for threads in (1, 2):
+            put(threads)  # as if a caller set it after import; the solve sets it back to 1
+            spectra.append(witness_spectrum(w))
+            assert get() == 1
+        assert np.array_equal(spectra[0].nonzero, spectra[1].nonzero)
+        assert spectra[0].zeros == spectra[1].zeros
+
+    def test_dense_spectrum_without_the_binding_is_eigvalsh(self, monkeypatch):
+        w = random_rank_k_witness(BipartiteDims(5, 3), 3, rng(36))
+        monkeypatch.setattr(qstate, "_ZHEEVD_2STAGE", None)
+        mat = w.to_matrix()
+        assert np.array_equal(qstate.hermitian_eigenvalues(mat), np.linalg.eigvalsh(w.to_matrix()))
+        assert np.array_equal(mat, w.to_matrix())  # eigvalsh leaves its input alone
+        spec = witness_spectrum(w)
+        assert np.array_equal(spec.nonzero, np.linalg.eigvalsh(w.to_matrix())) and spec.zeros == 0
+
+    @pytest.mark.skipif(qstate._ZHEEVD_2STAGE is None, reason="no zheevd_2stage in numpy's OpenBLAS")
+    def test_dense_spectrum_failure_is_loud(self):
+        with pytest.raises(np.linalg.LinAlgError, match="zheevd_2stage"):
+            qstate.hermitian_eigenvalues(np.full((4, 4), np.nan, dtype=np.complex128))
 
 
 class TestOverlapModel:
