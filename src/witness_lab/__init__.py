@@ -9,4 +9,4 @@ rescaled statistic w, an elliptic-integral law and the Marcenko-Pastur law
 for spectra).  Import each name from the module that defines it.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

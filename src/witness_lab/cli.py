@@ -18,10 +18,15 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread (qstate's "BLAS threads"): set before numpy loads, so that
+# OpenBLAS starts no server thread, here or in a pool worker under any start
+# method; a value the user set is kept, and qstate still pins one after it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, analytic
-from .ensemble import (
+import numpy as np  # noqa: E402
+
+from . import __version__, analytic  # noqa: E402
+from .ensemble import (  # noqa: E402
     WitnessSpec,
     dense_coding_scan,
     ks_statistic,
@@ -31,7 +36,7 @@ from .ensemble import (
     run_pt_spectrum,
     run_w_ensemble,
 )
-from .qstate import BLAS_THREADS_PER_TASK, DENSE_EIGENSOLVER, BipartiteDims
+from .qstate import BLAS_THREADS_AT_START, BLAS_THREADS_PER_TASK, DENSE_EIGENSOLVER, BipartiteDims  # noqa: E402
 
 
 def _fmt(x: float) -> str:
@@ -119,6 +124,7 @@ def _write_manifest(out: OutputTracker, args: argparse.Namespace, workers: int, 
         "seed": args.seed,
         "version": __version__,
         "workers": workers,
+        "blas_threads_at_start": BLAS_THREADS_AT_START,
         "blas_threads_per_task": BLAS_THREADS_PER_TASK,
         "witness_eigensolver": DENSE_EIGENSOLVER,
         "wall_time_s": time.time() - t0,
@@ -229,8 +235,9 @@ def cmd_decay(args: argparse.Namespace, workers: int, out: OutputTracker) -> Non
         "slope_std_err": scan.metadata.get("slope_std_err"),
         "slope_fit_min_m": scan.metadata["slope_fit_min_m"],
         "witness": scan.metadata["witness_spec"],
-        "exact_gaussian_tail": {str(r.m): analytic.detection_probability(_gauss_law(spec, r.m)) for r in scan.rows},
     }
+    if spec.kind != "rank2":  # the Gaussian is not the law of rank-2 draws
+        summary["exact_gaussian_tail"] = {str(r.m): analytic.detection_probability(_gauss_law(spec, r.m)) for r in scan.rows}
     out.json("decay_summary.json", summary)
 
 

@@ -28,14 +28,16 @@ Thread policy
 -------------
 Every numeric step runs on one BLAS thread, so ``workers`` is the only
 parallelism and the BLAS thread count a process starts with cannot change
-a bit of its results.  Importing ``qstate`` sets numpy's bundled OpenBLAS
-to one thread, so the witness build and its dense spectrum
-(``qstate.hermitian_eigenvalues``) run on one thread as the tasks do, and
-pool workers inherit the setting.  ``_map_ordered``, before it runs a task
-or forks a pool, and the dense spectrum, before its solve, set it back to
-one if a caller has raised it; they never restore the caller's count.
-When no OpenBLAS is found, nothing is set and
-``qstate.BLAS_THREADS_PER_TASK`` is None.
+a bit of its results.  ``cli`` sets ``OPENBLAS_NUM_THREADS`` to 1 before
+numpy loads (by ``setdefault``, keeping a user's value), and pool workers
+inherit it; importing ``qstate`` then sets numpy's bundled OpenBLAS to one
+thread, for library callers and a user's value alike.  So the witness
+build and its dense spectrum (``qstate.hermitian_eigenvalues``) run on one
+thread as the tasks do.  ``_map_ordered``, before it runs a task or forks
+a pool, and the dense spectrum, before its solve, set it back to one if a
+caller has raised it; they never restore the caller's count.  When no
+OpenBLAS is found, nothing is set and ``qstate.BLAS_THREADS_PER_TASK`` is
+None.
 """
 
 from __future__ import annotations

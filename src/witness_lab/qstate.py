@@ -10,11 +10,15 @@ transpose is always taken over subsystem B.
 
 BLAS threads
 ------------
-Importing this module sets numpy's bundled OpenBLAS to one thread, before
-any numeric work of the package, so a process computes every result on
-one BLAS thread whatever count it started with (see the "Thread policy" of
-``ensemble``).  When no OpenBLAS is found, nothing is set and
-``BLAS_THREADS_PER_TASK`` is None.
+A process computes every result on one BLAS thread, whatever count it
+started with (see the "Thread policy" of ``ensemble``).  The command line
+sets ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads, unless the user set
+it, so OpenBLAS starts no idle server thread.  A library caller may have
+loaded numpy first, and the library never writes the environment, so
+importing this module also sets numpy's bundled OpenBLAS to one thread,
+before any numeric work of the package.  ``BLAS_THREADS_AT_START`` is
+OpenBLAS's count before that pin.  When no OpenBLAS is found, nothing is
+set and both are None.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ def _one_blas_thread() -> None:
 
 
 _OPENBLAS_THREADS, _ZHEEVD_2STAGE = _openblas()
+BLAS_THREADS_AT_START = None if _OPENBLAS_THREADS is None else _OPENBLAS_THREADS[0]()
 _one_blas_thread()
 BLAS_THREADS_PER_TASK = None if _OPENBLAS_THREADS is None else 1
 DENSE_EIGENSOLVER = "eigvalsh" if _ZHEEVD_2STAGE is None else "zheevd_2stage"

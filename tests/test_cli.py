@@ -242,6 +242,16 @@ class TestScans:
         assert tails["1"] == analytic.detection_probability(analytic.gauss_width(4))
         assert tails["2"] == analytic.detection_probability(analytic.gauss_width(8))
 
+    def test_decay_rank2_writes_no_gaussian_tail(self, tmp_path):
+        # at lam = 1/2 and m = 2 the N -> infinity rank-2 law gives 1/16, the
+        # Gaussian 0.0786: the Gaussian is not the law of rank-2 draws
+        out = tmp_path / "d2"
+        args = ["decay", "--dims", "8", "8", "--m-max", "2", "--samples", "500", "--witness", "rank2:0.5", "--workers", "1", "--out", out]
+        assert run_cli(args) == 0
+        summary = read_json(out / "decay_summary.json")
+        assert "exact_gaussian_tail" not in summary
+        assert summary["witness"] == "rank2:0.5"
+
     def test_densecoding_outputs(self, tmp_path):
         out = tmp_path / "den"
         args = ["densecoding", "--dims", "8", "8", "--m-list", "1,8,64", "--reps", "2", "--seed", "5", "--out", out]
@@ -298,6 +308,7 @@ class TestManifest:
         assert manifest["workers"] == 1
         assert manifest["blas_threads_per_task"] == qstate.BLAS_THREADS_PER_TASK
         assert manifest["blas_threads_per_task"] in (1, None)
+        assert manifest["blas_threads_at_start"] == qstate.BLAS_THREADS_AT_START
         assert manifest["witness_eigensolver"] == qstate.DENSE_EIGENSOLVER
         assert manifest["witness_eigensolver"] in ("zheevd_2stage", "eigvalsh")
 
@@ -309,6 +320,15 @@ class TestManifest:
         assert manifest["workers"] == (os.cpu_count() or 1)
         assert manifest["config"]["workers"] is None  # the flag as given
 
+    def test_cli_run_records_one_blas_thread_at_start(self, tmp_path):
+        # with no OPENBLAS_NUM_THREADS given, the command line sets it to 1
+        # before numpy loads, so OpenBLAS starts on one thread
+        out = tmp_path / "fresh"
+        args = ["ptspec", "--dims", "4", "4", "--states", "2", "--workers", "1", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "witness_lab.cli", *args], env=_env_without_blas_threads(), check=True, timeout=120)
+        expected = None if qstate.BLAS_THREADS_PER_TASK is None else 1
+        assert read_json(out / "manifest.json")["blas_threads_at_start"] == expected
+
     def test_pyproject_version_is_the_package_version(self):
         text = (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()
         assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == __version__
@@ -318,14 +338,20 @@ class TestCoreCountIndependence:
     """Every numeric step runs on one BLAS thread, so the BLAS thread count a
     process starts with does not reach the data files.  At 8 x 8 the solver
     stays single-threaded anyway; 16 x 16 mixtures and the dense spectrum of
-    a 32 x 32 rank-k witness are where it would not."""
+    a 32 x 32 rank-k witness are where it would not.  The batched SVDs of
+    32 x 32 pure states and the Schmidt-form spectra of the random and
+    rank-2 witnesses cover the other paths."""
 
+    WDIST_OUTPUTS = ("wdist_hist.csv", "wdist_analytic.csv", "wdist_summary.json")
     RUNS = {
         "lmin": (["lmin", "--dims-list", "16", "--m-list", "300,400", "--reps", "3"], ("lmin_scan.csv", "lmin_summary.json")),
         "ptspec": (["ptspec", "--dims", "16", "16", "--m", "300", "--states", "2"], ("ptspec_hist.csv", "ptspec_hist_scaled.csv", "ptspec_summary.json")),
         "densecoding": (["densecoding", "--dims", "16", "16", "--m-list", "64,300", "--reps", "3"], ("densecoding_scan.csv", "densecoding_summary.json")),
-        "wdist-rankk": (["wdist", "--dims", "32", "32", "--samples", "4096", "--witness", "rankk:16", "--seed", "3"], ("wdist_hist.csv", "wdist_analytic.csv", "wdist_summary.json")),
+        "wdist-rankk": (["wdist", "--dims", "32", "32", "--samples", "4096", "--witness", "rankk:16", "--seed", "3"], WDIST_OUTPUTS),
         "decay-rankk": (["decay", "--dims", "32", "32", "--m-max", "3", "--samples", "1000", "--witness", "rankk:2", "--seed", "3"], ("decay_scan.csv", "decay_summary.json")),
+        "ptspec-pure": (["ptspec", "--dims", "32", "32", "--states", "40"], ("ptspec_hist.csv", "ptspec_overlay.csv", "ptspec_summary.json")),
+        "wdist-random": (["wdist", "--dims", "32", "32", "--samples", "4096", "--seed", "3"], WDIST_OUTPUTS),
+        "wdist-rank2": (["wdist", "--dims", "32", "32", "--samples", "4096", "--witness", "rank2:0.3", "--seed", "3"], WDIST_OUTPUTS),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -340,6 +366,56 @@ class TestCoreCountIndependence:
             subprocess.run(cmd, env=env, check=True, timeout=300)
             data[threads] = [file_bytes(out / f) for f in outputs]
         assert data["1"] == data["2"]
+
+
+def _env_without_blas_threads(**extra):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return dict(env, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), **extra)
+
+
+class TestBlasPinAtStart:
+    """The command line sets OPENBLAS_NUM_THREADS before numpy loads, so
+    OpenBLAS starts no server thread; a user's value is kept, and the
+    library import writes nothing to the environment."""
+
+    PROBE = (
+        "import json, os, witness_lab.cli; from witness_lab import qstate; "
+        "tasks = '/proc/self/task'; "
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), qstate.BLAS_THREADS_AT_START, "
+        "qstate._OPENBLAS_THREADS and qstate._OPENBLAS_THREADS[0](), "
+        "len(os.listdir(tasks)) if os.path.isdir(tasks) else None]))"
+    )
+
+    def probe(self, **extra):
+        run = subprocess.run(
+            [sys.executable, "-c", self.PROBE], env=_env_without_blas_threads(**extra), capture_output=True, text=True, check=True, timeout=120
+        )
+        return json.loads(run.stdout)
+
+    def test_cli_import_starts_openblas_on_one_thread(self):
+        env_value, at_start, now, os_threads = self.probe()
+        assert env_value == "1"
+        if qstate.BLAS_THREADS_PER_TASK is None:
+            pytest.skip("numpy has no bundled OpenBLAS")
+        assert (at_start, now) == (1, 1)
+        if os_threads is None:
+            pytest.skip("no /proc/self/task to count the process's threads")
+        assert os_threads == 1
+
+    def test_user_value_is_kept_and_pinned_to_one(self):
+        env_value, _, now, _ = self.probe(OPENBLAS_NUM_THREADS="2")
+        assert env_value == "2"
+        if qstate.BLAS_THREADS_PER_TASK is not None:
+            assert now == 1
+
+    def test_library_import_leaves_environment_unchanged(self):
+        code = (
+            "import os, sys; before = dict(os.environ); "
+            "import witness_lab.qstate, witness_lab.witness, witness_lab.ensemble, witness_lab.analytic; "
+            "print(dict(os.environ) == before, 'witness_lab.cli' in sys.modules)"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=_env_without_blas_threads(), capture_output=True, text=True, check=True, timeout=120)
+        assert run.stdout.split() == ["True", "False"]
 
 
 def test_cli_import_loads_no_test_only_package():
