@@ -4,16 +4,16 @@ statistic w and for partial-transpose spectra.
 These are the ground truth that the Monte Carlo ensembles are checked
 against: the unit Gaussian for full-Schmidt-rank witnesses, its 1/k-width
 version for rank-k witnesses and m-fold mixtures, the two-branch exponential
-mixture for Schmidt-rank-2 witnesses, the elliptic-integral law for scaled
-partial-transpose eigenvalues y = N*lambda on [-4, 4], and the
-Marcenko-Pastur law for scaled reduced-density eigenvalues tau = N*mu^2.
+mixture for Schmidt-rank-2 witnesses, and the elliptic-integral law for
+scaled partial-transpose eigenvalues y = N*lambda on [-4, 4].
 
 Each law has one array pdf and one array cdf (``density_on_array``,
-``cdf_on_sorted``); ``density_eval`` and ``cdf_eval`` are their one-point
-cases.  The Gaussian, rank-2 and Marcenko-Pastur CDFs are closed forms; the
+``cdf_on_sorted``).  The Gaussian and rank-2 CDFs are closed forms; the
 elliptic law's is two convergent power series, summed elementwise.  The
-module holds only what the subcommands evaluate; the test suite integrates
-the densities with its own oracles.
+module holds only what the subcommands evaluate, and the one-point cases
+``density_eval`` and ``cdf_eval``, which the benchmark's tracer wraps by
+name (bench/spans.py); the test suite integrates the densities with its
+own oracles.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ _RANK2_HALF_EPS = 2e-4
 GAUSS_WIDTH = "gauss_width"
 RANK2 = "rank2"
 PT_EIGS = "pt_eigs"
-MARCENKO_PASTUR = "marcenko_pastur"
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class AnalyticDensity:
         elif self.kind == GAUSS_WIDTH:
             if self.k is None or self.k <= 0:
                 raise ValueError(f"gauss_width density needs k > 0, got {self.k}")
-        elif self.kind not in (PT_EIGS, MARCENKO_PASTUR):
+        elif self.kind != PT_EIGS:
             raise ValueError(f"unknown density kind {self.kind!r}")
 
 
@@ -70,10 +69,6 @@ def rank2(lam: float) -> AnalyticDensity:
 
 def pt_eigs() -> AnalyticDensity:
     return AnalyticDensity(PT_EIGS)
-
-
-def marcenko_pastur() -> AnalyticDensity:
-    return AnalyticDensity(MARCENKO_PASTUR)
 
 
 def _four_s_minus_two(lam: float, s: float) -> float:
@@ -170,14 +165,6 @@ def _horner(coefs: list[float], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _marcenko_pastur_pdf(tau):
-    """Marcenko-Pastur law of tau = N*mu^2; acts elementwise on arrays."""
-    tau = np.asarray(tau, dtype=float)
-    inside = (0.0 < tau) & (tau <= 4.0)
-    t = np.where(inside, tau, 1.0)
-    return np.where(inside, np.sqrt(t * (4.0 - t)) / (2.0 * math.pi * t), 0.0)
-
-
 def density_on_array(d: AnalyticDensity, xs) -> np.ndarray:
     """Density at an array of points, elementwise, so each point gets the
     bits it gets alone; zero outside the support.  Far tails underflow to 0
@@ -185,8 +172,6 @@ def density_on_array(d: AnalyticDensity, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if d.kind == PT_EIGS:
         return _pt_eigs_pdf(xs)
-    if d.kind == MARCENKO_PASTUR:
-        return _marcenko_pastur_pdf(xs)
     with np.errstate(under="ignore"):
         if d.kind == GAUSS_WIDTH:
             return math.sqrt(d.k) / _SQRT_2PI * np.exp(-0.5 * d.k * (xs - 1.0) ** 2)
@@ -202,20 +187,15 @@ def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
     """CDF at an array of points, elementwise, so each point gets the bits
     ``cdf_eval`` gives it alone; the points need not be sorted.
 
-    The Marcenko-Pastur CDF is (2 theta + sin 2 theta) / pi with
-    tau = 4 sin^2 theta, exactly 0 and 1 at and beyond 0 and 4.  The PT law
-    is even, so F(y) = 1/2 + sgn(y) G(k) with k = min(|y|, 4) / 4 and G the
-    series of ``_pt_cdf_series``; F is exactly 1/2 at 0, where G = 0, and
-    0 and 1 at and beyond -4 and 4, where G = 1/2."""
+    The PT law is even, so F(y) = 1/2 + sgn(y) G(k) with k = min(|y|, 4) / 4
+    and G the series of ``_pt_cdf_series``; F is exactly 1/2 at 0, where
+    G = 0, and 0 and 1 at and beyond -4 and 4, where G = 1/2."""
     xs = np.asarray(xs, dtype=float)
     with np.errstate(under="ignore"):
         if d.kind == GAUSS_WIDTH:
             return 0.5 * _erfc((1.0 - xs) * math.sqrt(d.k / 2.0)).astype(float)
         if d.kind == RANK2:
             return _rank2_cdf(d.lam, xs)
-    if d.kind == MARCENKO_PASTUR:
-        theta = np.arcsin(np.sqrt(np.clip(xs, 0.0, 4.0)) / 2.0)
-        return (2.0 * theta + np.sin(2.0 * theta)) / math.pi
     k = np.minimum(np.abs(xs), 4.0) / 4.0
     k2, m = k * k, (1.0 - k) * (1.0 + k)
     # k = 0 is moved to the smallest normal double, where k ln(1/k) is 0
@@ -237,12 +217,3 @@ def detection_probability(d: AnalyticDensity) -> float:
     if d.kind == RANK2:
         return 1.0 / (4.0 + 2.0 / math.sqrt(d.lam * (1.0 - d.lam)))
     raise ValueError(f"no negative-tail semantics for density kind {d.kind!r}")
-
-
-def detection_probability_asymptotic(m: int) -> float:
-    """Large-m tail approximation exp(-m/2)/sqrt(2 pi m) of the exact
-    erfc form for an m-component mixture."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return math.exp(-m / 2.0) / math.sqrt(2.0 * math.pi * m)
-

@@ -86,8 +86,10 @@ class OutputTracker:
 
 
 def _resolve_workers(workers: int | None) -> int:
+    """``workers``, or by default the CPUs this process may run on: its
+    affinity mask where the platform has one, else the host's CPU count."""
     if workers is None:
-        return os.cpu_count() or 1
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return workers
@@ -263,7 +265,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: all cores). Results do not depend on this value.",
+        help="worker processes (default: the CPUs this process may use). Results do not depend on this value.",
     )
 
 

@@ -593,40 +593,6 @@ def run_lambda_min_scan(
     return ScanResult(kind="lambda_min", rows=tuple(rows), metadata=meta)
 
 
-@dataclass(frozen=True)
-class CriticalMRow:
-    n: int
-    epsilon: float
-    m_crit: float | None  # None: the scan ended before the curve reached -epsilon
-
-
-def critical_m(scan: ScanResult, epsilon: float, scaling: str = "const") -> tuple[CriticalMRow, ...]:
-    """Largest mixture size still detectable at measurement accuracy
-    epsilon(N), i.e. where the mean minimal eigenvalue crosses -epsilon(N);
-    epsilon scales as epsilon0 * {1, 1/N, 1/N^2} per the ``scaling`` tag.
-
-    Crossings are linearly interpolated like m*; with epsilon = 0 this is
-    exactly m*.  m_crit = 0 means not even the smallest scanned m is
-    detectable; m_crit = None means the scan ended while still detectable.
-    """
-    if scaling not in ("const", "inv_N", "inv_N2"):
-        raise ValueError(f"unknown scaling tag {scaling!r}")
-    if scan.kind != "lambda_min":
-        raise ValueError("critical_m needs a lambda_min scan")
-    out = []
-    for n in scan.n_values:
-        eps_n = epsilon / {"const": 1.0, "inv_N": n, "inv_N2": n * n}[scaling]
-        ms, vals, _ = scan.for_n(n)
-        target = -eps_n
-        if vals[0] >= target:
-            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=0.0))
-        elif vals[-1] < target:
-            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=None))
-        else:
-            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=_interp_crossing(ms, vals, target)))
-    return tuple(out)
-
-
 def dense_coding_margin(state: MixedState) -> float:
     """Dense-coding margin S(rho_A) - S(rho) in bits; the state is usable
     for dense coding when it is positive."""

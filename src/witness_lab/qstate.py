@@ -1,5 +1,5 @@
-"""Bipartite quantum states: Haar sampling, mixtures, Schmidt decomposition,
-partial trace / partial transpose, spectra and entropy.
+"""Bipartite quantum states: Haar sampling, mixtures, partial trace and
+partial transpose, spectra and entropy.
 
 Conventions
 -----------
@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 NORM_TOL = 1e-12
-SCHMIDT_RANK_RTOL = 1e-12
 
 # per symbol naming of numpy's bundled OpenBLAS: its thread-count getter and
 # setter, LAPACKE's two-stage Hermitian eigensolver, and LAPACK's integer
@@ -104,12 +103,6 @@ class BipartiteDims:
         return min(self.n_a, self.n_b)
 
 
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
-
-
 def _rows(amplitudes, dims: BipartiteDims) -> np.ndarray:
     """``amplitudes`` as a read-only, C-ordered complex (m, n_a n_b) array of
     m >= 1 normalized rows; any other shape, or a row whose norm is off by
@@ -168,32 +161,6 @@ class MixedState:
         return mixture_density(self.amplitudes)
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Schmidt data of a pure state: nonincreasing coefficients mu_i and the
-    matching orthonormal bases of the two subsystems."""
-
-    coefficients: np.ndarray
-    basis_a: np.ndarray  # rows are the |a_i>
-    basis_b: np.ndarray  # rows are the |b_i>
-    rank: int
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Squared coefficients, i.e. the eigenvalues of the reduced state."""
-        return self.coefficients**2
-
-
-def sample_random_pure(dims: BipartiteDims, rng: np.random.Generator) -> PureState:
-    """Draw a Haar-distributed pure state.
-
-    Each amplitude is an independent standard complex Gaussian; the vector is
-    then normalized.  This gives the unique unitarily invariant distribution,
-    with E[c_i c_j*] = delta_ij / (n_a n_b).
-    """
-    return PureState(dims, sample_random_pure_batch(dims, 1, rng)[0])
-
-
 def sample_random_pure_batch(dims: BipartiteDims, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` Haar states at once; returns an (n, total) complex array of
     normalized amplitude vectors."""
@@ -209,22 +176,6 @@ def mix_random_states(dims: BipartiteDims, m: int, rng: np.random.Generator) -> 
     return MixedState(dims, sample_random_pure_batch(dims, m, rng))
 
 
-def schmidt(state: PureState) -> SchmidtDecomposition:
-    """Schmidt decomposition via SVD of the amplitude matrix.
-
-    Coefficients are sorted nonincreasing; the rank counts coefficients above
-    ``SCHMIDT_RANK_RTOL`` relative to the largest one.
-    """
-    u, s, vh = np.linalg.svd(state.matrix, full_matrices=False)
-    rank = int(np.sum(s > SCHMIDT_RANK_RTOL * s[0]))
-    return SchmidtDecomposition(
-        coefficients=_frozen_array(s),
-        basis_a=_frozen_array(u.T),
-        basis_b=_frozen_array(vh),
-        rank=rank,
-    )
-
-
 def schmidt_pt_eigenvalues(mu: np.ndarray) -> np.ndarray:
     """Partial-transpose spectrum of a pure state from its nonincreasing
     Schmidt coefficients ``mu``: +-mu_i mu_j for i < j, then the n
@@ -235,17 +186,11 @@ def schmidt_pt_eigenvalues(mu: np.ndarray) -> np.ndarray:
     return np.concatenate([off, -off, mu**2], axis=-1)
 
 
-def partial_trace_b(obj, dims: BipartiteDims | None = None) -> np.ndarray:
-    """Reduced state on A: (rho_A)_ij = sum_alpha rho_{i alpha, j alpha}.
-    A pure or mixed state is read from its amplitude rows (a pure state is a
-    mixture of one); a bare density matrix needs its ``dims``."""
-    if isinstance(obj, (PureState, MixedState)):
-        mats = obj.amplitudes.reshape(-1, obj.dims.n_a, obj.dims.n_b)
-        return np.einsum("kab,kcb->ac", mats, mats.conj()) / len(mats)
-    if dims is None:
-        raise ValueError("dims are required when passing a bare matrix")
-    rho = np.asarray(obj, dtype=np.complex128)
-    return np.einsum("iaja->ij", rho.reshape(dims.n_a, dims.n_b, dims.n_a, dims.n_b))
+def partial_trace_b(state: PureState | MixedState) -> np.ndarray:
+    """Reduced state on A: (rho_A)_ij = sum_alpha rho_{i alpha, j alpha}, read
+    from the amplitude rows of the state (a pure state is a mixture of one)."""
+    mats = state.amplitudes.reshape(-1, state.dims.n_a, state.dims.n_b)
+    return np.einsum("kab,kcb->ac", mats, mats.conj()) / len(mats)
 
 
 def partial_transpose_b(mat: np.ndarray, dims: BipartiteDims) -> np.ndarray:
@@ -342,14 +287,3 @@ def von_neumann_entropy(mat: np.ndarray) -> float:
     vals = vals[vals > 0]
     return float(-(vals * np.log2(vals)).sum())
 
-
-def ghz_state(n_qubits: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2) on the symmetric bipartition of an even
-    number of qubits, i.e. dims (2^(n/2), 2^(n/2))."""
-    if n_qubits < 2 or n_qubits % 2 != 0:
-        raise ValueError(f"need an even number of qubits >= 2, got {n_qubits}")
-    half = 2 ** (n_qubits // 2)
-    dims = BipartiteDims(half, half)
-    amp = np.zeros(dims.total, dtype=np.complex128)
-    amp[0] = amp[-1] = 1 / np.sqrt(2)
-    return PureState(dims, amp)

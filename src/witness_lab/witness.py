@@ -16,14 +16,12 @@ import numpy as np
 
 from .qstate import (
     BipartiteDims,
-    MixedState,
     PureState,
     _rows,
     hermitian_eigenvalues,
     mixture_pt_eigenvalues,
     partial_transpose_b,
     sample_random_pure_batch,
-    schmidt,
 )
 
 ORTHONORMAL_TOL = 1e-8
@@ -65,11 +63,6 @@ class WitnessSpectrum(NamedTuple):
 
     nonzero: np.ndarray
     zeros: int
-
-
-class OptimalWitnessResult(NamedTuple):
-    witness: Witness
-    lambda_min: float  # nonnegative when the state is PPT
 
 
 def witness_from_vector(phi: PureState) -> Witness:
@@ -133,21 +126,6 @@ def pt_quadratic_form_batch(phi_matrix: np.ndarray, psi_matrices: np.ndarray) ->
     return np.einsum("kij,kji->k", c, c.conj()).real
 
 
-def expectation(witness: Witness, state: "PureState | MixedState") -> float:
-    """w = n_a n_b tr(W rho); the raw tr(W rho) is w / (n_a n_b).
-
-    The amplitude rows of the state (a pure state is one row) take one
-    ``pt_quadratic_form_batch`` call per witness vector, and w is the mean
-    over all pairs of a witness row and a state row.
-    """
-    dims = witness.dims
-    if state.dims != dims:
-        raise ValueError(f"dims mismatch: witness {dims}, state {state.dims}")
-    psis = state.amplitudes.reshape(-1, dims.n_a, dims.n_b)
-    phis = witness.q_vectors.reshape(-1, dims.n_a, dims.n_b)
-    return dims.total * float(np.mean([pt_quadratic_form_batch(phi, psis) for phi in phis]))
-
-
 def witness_spectrum(witness: Witness) -> WitnessSpectrum:
     """Eigenvalues of W.
 
@@ -164,31 +142,6 @@ def witness_spectrum(witness: Witness) -> WitnessSpectrum:
         eig = hermitian_eigenvalues(witness.to_matrix())
     nonzero = eig[np.abs(eig) > ZERO_EIGENVALUE_RTOL * np.abs(eig).max()]
     return WitnessSpectrum(nonzero=nonzero, zeros=witness.dims.total - len(nonzero))
-
-
-def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
-    """Best decomposable witness for a known state: the projector onto the
-    eigenvector of rho^T_B with minimal eigenvalue, partially transposed.
-
-    Guarantees tr(W_opt rho) = lambda_min.  A nonnegative lambda_min means
-    the state is PPT and undetectable this way; the witness is still
-    returned.
-
-    For a pure state sum_i mu_i |a_i b_i> the answer is closed form:
-    lambda_min = -mu_1 mu_2 with eigenvector (|a_1 b_2*> - |a_2 b_1*>)/sqrt(2),
-    where b* is the complex conjugate of b.  Mixed states take a dense
-    eigensolve; their rho^T_B is exactly Hermitian (see ``mixture_density``).
-    """
-    if isinstance(state, PureState):
-        sd = schmidt(state)
-        a, b = sd.basis_a, sd.basis_b.conj()
-        vec = (np.kron(a[0], b[1]) - np.kron(a[1], b[0])) / np.sqrt(2.0)
-        lam_min = -float(sd.coefficients[0] * sd.coefficients[1])
-    else:
-        vals, vecs = np.linalg.eigh(partial_transpose_b(state.to_matrix(), state.dims))
-        vec, lam_min = vecs[:, 0], float(vals[0])
-    w = witness_from_vector(PureState(state.dims, vec))
-    return OptimalWitnessResult(witness=w, lambda_min=lam_min)
 
 
 def predicted_cumulants(spectrum: WitnessSpectrum, m: int = 1) -> dict[int, float]:

@@ -22,16 +22,11 @@ from witness_lab.ensemble import (
     run_pt_spectrum,
     run_w_ensemble,
 )
-from witness_lab.qstate import (
-    BipartiteDims,
-    ghz_state,
-    partial_transpose_b,
-    sample_random_pure,
-    schmidt,
-)
-from witness_lab.witness import expectation, optimal_witness, witness_from_vector
+from witness_lab.qstate import BipartiteDims, partial_transpose_b
+from witness_lab.witness import witness_from_vector
 
-from conftest import product_density, rng, total_mass
+from conftest import expectation, ghz_state, marcenko_pastur, optimal_witness, product_density, rng, sample_random_pure
+from conftest import schmidt, total_mass
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -223,7 +218,7 @@ def test_c11_property_suites():
         failures.append("PT spectrum identity")
 
     # closed-form density normalizations
-    for dens in (gauss_width(1.0), gauss_width(4), rank2_density(0.3), pt_eigs(), analytic.marcenko_pastur()):
+    for dens in (gauss_width(1.0), gauss_width(4), rank2_density(0.3), pt_eigs(), marcenko_pastur()):
         if abs(total_mass(dens) - 1.0) > 1e-6:
             failures.append(f"normalization {dens.kind}")
 

@@ -7,21 +7,11 @@ from scipy import integrate as sp_integrate
 from scipy import special as sp_special
 
 from witness_lab import analytic
-from witness_lab.analytic import (
-    cdf_eval,
-    cdf_on_sorted,
-    density_eval,
-    density_on_array,
-    detection_probability,
-    detection_probability_asymptotic,
-    gauss_width,
-    marcenko_pastur,
-    pt_eigs,
-    rank2,
-)
+from witness_lab.analytic import detection_probability, gauss_width, pt_eigs, rank2
 from witness_lab.ensemble import ks_statistic
 
-from conftest import law_interval, rank2_overlap_distribution, rng, total_mass
+from conftest import cdf_eval, cdf_on_sorted, density_eval, density_on_array, law_interval, marcenko_pastur
+from conftest import rank2_overlap_distribution, rng, total_mass
 
 # gauss_width(1) carries the id of the former gauss_unit case, so the test
 # ids stay stable
@@ -217,6 +207,14 @@ class TestDetectionProbability:
             detection_probability(pt_eigs())
         with pytest.raises(ValueError):
             detection_probability(marcenko_pastur())
+
+
+def detection_probability_asymptotic(m: int) -> float:
+    """Large-m tail approximation exp(-m/2)/sqrt(2 pi m) of the exact
+    erfc form for an m-component mixture."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return math.exp(-m / 2.0) / math.sqrt(2.0 * math.pi * m)
 
 
 class TestAsymptoticDecay:

@@ -317,8 +317,21 @@ class TestManifest:
         args = ["wdist", "--dims", "8", "8", "--samples", "1500", "--seed", "7", "--out", out]
         assert run_cli(args) == 0
         manifest = read_json(out / "manifest.json")
-        assert manifest["workers"] == (os.cpu_count() or 1)
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        assert manifest["workers"] == usable
         assert manifest["config"]["workers"] is None  # the flag as given
+
+    def test_default_workers_are_the_cpus_the_process_may_use(self, monkeypatch):
+        # a process pinned to one of the host's four CPUs forks no pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._resolve_workers(None) == 1
+        assert cli._resolve_workers(3) == 3
+        # where the platform has no affinity mask, the host's count, or 1 when unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli._resolve_workers(None) == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._resolve_workers(None) == 1
 
     def test_cli_run_records_one_blas_thread_at_start(self, tmp_path):
         # with no OPENBLAS_NUM_THREADS given, the command line sets it to 1
@@ -340,7 +353,8 @@ class TestCoreCountIndependence:
     stays single-threaded anyway; 16 x 16 mixtures and the dense spectrum of
     a 32 x 32 rank-k witness are where it would not.  The batched SVDs of
     32 x 32 pure states and the Schmidt-form spectra of the random and
-    rank-2 witnesses cover the other paths."""
+    rank-2 witnesses cover the other paths, and the optimal witness the
+    per-mixture dense solves of wdist."""
 
     WDIST_OUTPUTS = ("wdist_hist.csv", "wdist_analytic.csv", "wdist_summary.json")
     RUNS = {
@@ -352,6 +366,8 @@ class TestCoreCountIndependence:
         "ptspec-pure": (["ptspec", "--dims", "32", "32", "--states", "40"], ("ptspec_hist.csv", "ptspec_overlay.csv", "ptspec_summary.json")),
         "wdist-random": (["wdist", "--dims", "32", "32", "--samples", "4096", "--seed", "3"], WDIST_OUTPUTS),
         "wdist-rank2": (["wdist", "--dims", "32", "32", "--samples", "4096", "--witness", "rank2:0.3", "--seed", "3"], WDIST_OUTPUTS),
+        # the optimal witness writes no wdist_analytic.csv
+        "wdist-optimal": (["wdist", "--dims", "16", "16", "--m", "2", "--samples", "200", "--witness", "optimal", "--seed", "3"], ("wdist_hist.csv", "wdist_summary.json")),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from witness_lab.analytic import cdf_on_sorted, rank2 as rank2_density
 from witness_lab import ensemble, qstate
 from witness_lab.ensemble import (
     EmpiricalDistribution,
+    ScanResult,
     WitnessSpec,
-    critical_m,
     cumulant_report,
     dense_coding_margin,
     dense_coding_scan,
@@ -27,7 +28,7 @@ from witness_lab.ensemble import (
     run_pt_spectrum,
     run_w_ensemble,
 )
-from witness_lab.ensemble import _STREAM_LMIN, _monotone_in_m, _rng_for
+from witness_lab.ensemble import _STREAM_LMIN, _interp_crossing, _monotone_in_m, _rng_for
 from witness_lab.qstate import (
     BipartiteDims,
     mix_random_states,
@@ -38,7 +39,7 @@ from witness_lab.qstate import (
 )
 from witness_lab.witness import pt_quadratic_form_batch, witness_spectrum
 
-from conftest import maximally_mixed, rank2_overlap_distribution, rng
+from conftest import maximally_mixed, optimal_witness, rank2_overlap_distribution, rng
 
 
 def _pure_pt_reference(amps: np.ndarray, dims: BipartiteDims) -> np.ndarray:
@@ -257,8 +258,6 @@ class TestWEnsemble:
         assert large.neg_tail_std_err < 0.8 * small.neg_tail_std_err
 
     def test_optimal_per_state_matches_direct(self):
-        from witness_lab.witness import optimal_witness
-
         dims = BipartiteDims(4, 4)
         dist = run_w_ensemble(dims, 5, m=2, seed=8, witness_spec=WitnessSpec("optimal"))
         assert np.all(dist.samples < 0)
@@ -538,6 +537,40 @@ class TestLambdaMinScan:
         finally:
             tracemalloc.stop()
         assert peak < 5e6
+
+
+@dataclass(frozen=True)
+class CriticalMRow:
+    n: int
+    epsilon: float
+    m_crit: float | None  # None: the scan ended before the curve reached -epsilon
+
+
+def critical_m(scan: ScanResult, epsilon: float, scaling: str = "const") -> tuple[CriticalMRow, ...]:
+    """Largest mixture size still detectable at measurement accuracy
+    epsilon(N), i.e. where the mean minimal eigenvalue crosses -epsilon(N);
+    epsilon scales as epsilon0 * {1, 1/N, 1/N^2} per the ``scaling`` tag.
+
+    Crossings are linearly interpolated like m*; with epsilon = 0 this is
+    exactly m*.  m_crit = 0 means not even the smallest scanned m is
+    detectable; m_crit = None means the scan ended while still detectable.
+    """
+    if scaling not in ("const", "inv_N", "inv_N2"):
+        raise ValueError(f"unknown scaling tag {scaling!r}")
+    if scan.kind != "lambda_min":
+        raise ValueError("critical_m needs a lambda_min scan")
+    out = []
+    for n in scan.n_values:
+        eps_n = epsilon / {"const": 1.0, "inv_N": n, "inv_N2": n * n}[scaling]
+        ms, vals, _ = scan.for_n(n)
+        target = -eps_n
+        if vals[0] >= target:
+            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=0.0))
+        elif vals[-1] < target:
+            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=None))
+        else:
+            out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=_interp_crossing(ms, vals, target)))
+    return tuple(out)
 
 
 @pytest.fixture(scope="module")

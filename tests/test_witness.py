@@ -10,17 +10,12 @@ from witness_lab.qstate import (
     BipartiteDims,
     MixedState,
     PureState,
-    ghz_state,
     mix_random_states,
     partial_transpose_b,
-    sample_random_pure,
     sample_random_pure_batch,
-    schmidt,
 )
 from witness_lab.witness import (
     Witness,
-    expectation,
-    optimal_witness,
     pt_quadratic_form,
     pt_quadratic_form_batch,
     predicted_cumulants,
@@ -32,7 +27,8 @@ from witness_lab.witness import (
     witness_spectrum,
 )
 
-from conftest import maximally_mixed, product_density, rng, sample_w_overlap_model
+from conftest import expectation, ghz_state, maximally_mixed, optimal_witness, product_density, rng
+from conftest import sample_random_pure, sample_w_overlap_model, schmidt
 
 
 def product_state(dims):
