@@ -9,7 +9,8 @@ scaled partial-transpose eigenvalues y = N*lambda on [-4, 4].
 
 Each law has one array pdf and one array cdf (``density_on_array``,
 ``cdf_on_sorted``).  The Gaussian and rank-2 CDFs are closed forms; the
-elliptic law's is two convergent power series, summed elementwise.  The
+elliptic law's CDF is two convergent power series, summed elementwise, and
+its density is the same pair differentiated term by term.  The
 module holds only what the subcommands evaluate, and the one-point cases
 ``density_eval`` and ``cdf_eval``, which the benchmark's tracer wraps by
 name (bench/spans.py); the test suite integrates the densities with its
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import _agm_ke, erfc
+from .special import erfc
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _erfc = np.frompyfunc(erfc, 1, 1)  # elementwise, with the bits of math.erfc
@@ -104,19 +105,6 @@ def _rank2_cdf(lam: float, w: np.ndarray) -> np.ndarray:
     return np.where(w < 0.0, neg_mass * np.exp(neg / s), neg_mass + right)
 
 
-def _pt_eigs_pdf(y):
-    """Elliptic-integral law of y = N*lambda; acts elementwise on arrays."""
-    y = np.asarray(y, dtype=float)
-    inside = np.abs(y) <= 4.0
-    # the elliptic parameter is 1 - y^2/16, so the AGM starts from |y|/4
-    # exactly; y = 0, where K has an integrable log divergence, is moved to
-    # the smallest normal double to keep the value finite
-    b0 = np.where(inside, np.maximum(np.abs(y) / 4.0, np.finfo(float).tiny), 1.0)
-    big_k, big_e = _agm_ke(b0)
-    val = ((16.0 + y * y) * big_k - 32.0 * big_e) / (8.0 * math.pi**2)
-    return np.where(inside, np.maximum(val, 0.0), 0.0)
-
-
 def _pt_cdf_series() -> tuple[list[float], list[float], list[float]]:
     """Coefficients (c, b, g) of the two series of G(k) = int_0^{4k} p, the
     mass of the elliptic law on [0, 4k], k in [0, 1]:
@@ -154,6 +142,12 @@ def _pt_cdf_series() -> tuple[list[float], list[float], list[float]]:
 
 
 _PT_C, _PT_B, _PT_G = _pt_cdf_series()
+# the density p(y) = G'(k) / 4 differentiates both series term by term:
+# G' = ln(1/k) sum_j (2j+1) c_j k^2j + sum_j ((2j+1) b_j - c_j) k^2j below
+# the split, k sum_n 2(n+1) g_n m^n above it
+_PT_DC = [(2 * j + 1) * c for j, c in enumerate(_PT_C)]
+_PT_DB = [(2 * j + 1) * b - c for j, (b, c) in enumerate(zip(_PT_B, _PT_C))]
+_PT_DG = [2 * (n + 1) * g for n, g in enumerate(_PT_G)]
 
 
 def _horner(coefs: list[float], x: np.ndarray) -> np.ndarray:
@@ -165,13 +159,28 @@ def _horner(coefs: list[float], x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pt_variables(ys: np.ndarray):
+    """(k, k^2, m = 1 - k^2, ln(1/k)) at k = min(|y|, 4) / 4, elementwise;
+    k = 0 takes the log of the smallest normal double, where k ln(1/k) is 0."""
+    k = np.minimum(np.abs(ys), 4.0) / 4.0
+    return k, k * k, (1.0 - k) * (1.0 + k), -np.log(np.maximum(k, np.finfo(float).tiny))
+
+
+def _pt_pdf(ys: np.ndarray) -> np.ndarray:
+    """Elliptic law of y = N*lambda, G'(k) / 4; 0 at and beyond |y| = 4,
+    where m = 0 and g_0 = 0."""
+    k, k2, m, log_inv_k = _pt_variables(ys)
+    near_zero = log_inv_k * _horner(_PT_DC, k2) + _horner(_PT_DB, k2)
+    return np.where(k2 <= 0.5, near_zero, k * _horner(_PT_DG, m)) / 4.0
+
+
 def density_on_array(d: AnalyticDensity, xs) -> np.ndarray:
     """Density at an array of points, elementwise, so each point gets the
     bits it gets alone; zero outside the support.  Far tails underflow to 0
     without a floating-point warning."""
     xs = np.asarray(xs, dtype=float)
     if d.kind == PT_EIGS:
-        return _pt_eigs_pdf(xs)
+        return _pt_pdf(xs)
     with np.errstate(under="ignore"):
         if d.kind == GAUSS_WIDTH:
             return math.sqrt(d.k) / _SQRT_2PI * np.exp(-0.5 * d.k * (xs - 1.0) ** 2)
@@ -196,10 +205,7 @@ def cdf_on_sorted(d: AnalyticDensity, xs: np.ndarray) -> np.ndarray:
             return 0.5 * _erfc((1.0 - xs) * math.sqrt(d.k / 2.0)).astype(float)
         if d.kind == RANK2:
             return _rank2_cdf(d.lam, xs)
-    k = np.minimum(np.abs(xs), 4.0) / 4.0
-    k2, m = k * k, (1.0 - k) * (1.0 + k)
-    # k = 0 is moved to the smallest normal double, where k ln(1/k) is 0
-    log_inv_k = -np.log(np.maximum(k, np.finfo(float).tiny))
+    k, k2, m, log_inv_k = _pt_variables(xs)
     near_zero = k * (log_inv_k * _horner(_PT_C, k2) + _horner(_PT_B, k2))
     return 0.5 + np.sign(xs) * np.where(k2 <= 0.5, near_zero, 0.5 - m * _horner(_PT_G, m))
 

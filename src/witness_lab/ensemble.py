@@ -55,10 +55,8 @@ from .qstate import (
     gram_density,
     mix_random_states,
     mixture_pt_eigenvalues,
-    partial_trace_b,
     partial_transpose_b,
     sample_random_pure_batch,
-    von_neumann_entropy,
 )
 from .witness import (
     Witness,
@@ -296,15 +294,14 @@ def _mean_and_std_err(vals: np.ndarray) -> tuple[float, float]:
 
 
 def _w_chunk_task(task) -> np.ndarray:
-    (entropy, chunk_idx, count, m, n_a, n_b, spectrum) = task
+    (entropy, chunk_idx, count, m, dims, spectrum) = task
     seq = np.random.SeedSequence([*entropy, chunk_idx])
     rng = np.random.default_rng(seq)
-    dim = n_a * n_b
+    dim = dims.total
     out = np.empty(count)
 
     if spectrum is None:  # per-state optimal witness: w = dim * lambda_min
         # g mixtures of m states per draw, their spectra in one call
-        dims = BipartiteDims(n_a, n_b)
         group = max(1, _states_per_batch(dims) // m)
         for start in range(0, count, group):
             g = min(group, count - start)
@@ -345,7 +342,7 @@ def _w_samples(
     samples (the last chunk the rest) and draws from the stream
     ``(*entropy, i)``."""
     tasks = [
-        (entropy, i, min(CHUNK_SAMPLES, samples - start), m, dims.n_a, dims.n_b, spectrum)
+        (entropy, i, min(CHUNK_SAMPLES, samples - start), m, dims, spectrum)
         for i, start in enumerate(range(0, samples, CHUNK_SAMPLES))
     ]
     return np.concatenate(_map_ordered(_w_chunk_task, tasks, workers))
@@ -388,14 +385,6 @@ class ScanResult:
     kind: str
     rows: tuple[ScanRow, ...]
     metadata: dict
-
-    def for_n(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sel = sorted((r for r in self.rows if r.n == n), key=lambda r: r.m)
-        return (
-            np.array([r.m for r in sel]),
-            np.array([r.value for r in sel]),
-            np.array([r.std_err for r in sel]),
-        )
 
     @property
     def n_values(self) -> list[int]:
@@ -465,8 +454,7 @@ def _pt_state_task(task) -> np.ndarray:
     stream (seed, _STREAM_PT, i), concatenated in state order; one
     ``mixture_pt_eigenvalues`` call on their stack.  A pure state's spectrum
     drops its last ``schmidt_len`` values, the diagonal mu_i^2."""
-    (seed, start, count, m, n_a, n_b) = task
-    dims = BipartiteDims(n_a, n_b)
+    (seed, start, count, m, dims) = task
     amps = np.stack(
         [sample_random_pure_batch(dims, m, _rng_for(seed, _STREAM_PT, i)) for i in range(start, start + count)]
     )
@@ -502,10 +490,7 @@ def run_pt_spectrum(
     if states < 1:
         raise ValueError(f"need at least one state, got {states}")
     per_task = _states_per_batch(dims) if m == 1 else 1
-    tasks = [
-        (seed, start, min(per_task, states - start), m, dims.n_a, dims.n_b)
-        for start in range(0, states, per_task)
-    ]
+    tasks = [(seed, start, min(per_task, states - start), m, dims) for start in range(0, states, per_task)]
     parts = _map_ordered(_pt_state_task, tasks, workers)
     y = dims.schmidt_len * np.concatenate(parts)
     return empirical_from_samples(y, DEFAULT_Y_BINS)
@@ -593,10 +578,22 @@ def run_lambda_min_scan(
     return ScanResult(kind="lambda_min", rows=tuple(rows), metadata=meta)
 
 
+def _entropy_bits(p: np.ndarray) -> float:
+    """-sum p log2 p over the positive entries of ``p``."""
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
 def dense_coding_margin(state: MixedState) -> float:
     """Dense-coding margin S(rho_A) - S(rho) in bits; the state is usable
-    for dense coding when it is positive."""
-    return von_neumann_entropy(partial_trace_b(state)) - von_neumann_entropy(state.to_matrix())
+    for dense coding when it is positive.  For the (m, d) amplitude rows A
+    and their n_a x (m n_b) block row B = [Psi_1 ... Psi_m], rho = A^T A* / m
+    and rho_A = B B^dagger / m have the nonzero spectra sigma(A)^2 / m and
+    sigma(B)^2 / m, each summing to 1 as every row is normalized."""
+    amps, m, n_a = state.amplitudes, state.m, state.dims.n_a
+    blocks = amps.reshape(m, n_a, -1).transpose(1, 0, 2).reshape(n_a, -1)
+    s_a, s = (_entropy_bits(np.linalg.svd(x, compute_uv=False) ** 2 / m) for x in (blocks, amps))
+    return s_a - s
 
 
 @dataclass(frozen=True)
@@ -637,8 +634,7 @@ def cumulant_report(
 
 
 def _dc_point_task(task) -> tuple[float, float]:
-    (seed, point_idx, n_a, n_b, m, reps) = task
-    dims = BipartiteDims(n_a, n_b)
+    (seed, point_idx, dims, m, reps) = task
     vals = np.empty(reps)
     for rep in range(reps):
         state = mix_random_states(dims, m, _rng_for(seed, _STREAM_DC, point_idx, rep))
@@ -665,7 +661,7 @@ def dense_coding_scan(
     if bad:
         raise ValueError(f"mixture size must be >= 1, got {bad[0]}")
     _reject_repeats("mixture size m", m_list)
-    tasks = [(seed, idx, dims.n_a, dims.n_b, m, repetitions) for idx, m in enumerate(m_list)]
+    tasks = [(seed, idx, dims, m, repetitions) for idx, m in enumerate(m_list)]
     results = _map_ordered(_dc_point_task, tasks, workers)
     rows = tuple(ScanRow(n=dims.n_a, m=m, value=mean, std_err=se) for m, (mean, se) in zip(m_list, results))
     margins = np.array([r.value for r in rows])

@@ -1,5 +1,5 @@
-"""Bipartite quantum states: Haar sampling, mixtures, partial trace and
-partial transpose, spectra and entropy.
+"""Bipartite quantum states: Haar sampling, mixtures, the partial
+transpose and its spectra, and the dense Hermitian eigensolver.
 
 Conventions
 -----------
@@ -127,11 +127,6 @@ class PureState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", _rows(np.asarray(self.amplitudes)[None], self.dims)[0])
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Amplitudes as the n_a x n_b coefficient matrix (A on rows)."""
-        return self.amplitudes.reshape(self.dims.n_a, self.dims.n_b)
-
     def to_matrix(self) -> np.ndarray:
         """Density matrix |psi><psi|."""
         return np.outer(self.amplitudes, self.amplitudes.conj())
@@ -184,13 +179,6 @@ def schmidt_pt_eigenvalues(mu: np.ndarray) -> np.ndarray:
     i, j = np.triu_indices(mu.shape[-1], k=1)
     off = mu[..., i] * mu[..., j]
     return np.concatenate([off, -off, mu**2], axis=-1)
-
-
-def partial_trace_b(state: PureState | MixedState) -> np.ndarray:
-    """Reduced state on A: (rho_A)_ij = sum_alpha rho_{i alpha, j alpha}, read
-    from the amplitude rows of the state (a pure state is a mixture of one)."""
-    mats = state.amplitudes.reshape(-1, state.dims.n_a, state.dims.n_b)
-    return np.einsum("kab,kcb->ac", mats, mats.conj()) / len(mats)
 
 
 def partial_transpose_b(mat: np.ndarray, dims: BipartiteDims) -> np.ndarray:
@@ -270,20 +258,3 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"zheevd_2stage failed with info = {info}")
     return vals
-
-
-def von_neumann_entropy(mat: np.ndarray) -> float:
-    """Entropy -sum(lam * log2(lam)) in bits of a PSD, trace-one matrix.
-
-    Eigenvalues below -1e-8 are rejected; small negative round-off is clipped
-    to zero and 0*log(0) is taken as 0.
-    """
-    mat = np.asarray(mat, dtype=np.complex128)
-    vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
-    if vals[0] < -1e-8:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {vals[0]:.3e}")
-    if abs(vals.sum() - 1.0) > 1e-8:
-        raise ValueError(f"trace differs from 1 by {abs(vals.sum() - 1.0):.3e}")
-    vals = vals[vals > 0]
-    return float(-(vals * np.log2(vals)).sum())
-

@@ -1,7 +1,8 @@
 """Special functions: the error function (from the standard library) and
-complete elliptic integrals, implemented in-repo by the AGM so the
-library's numerical contract does not lean on an external package; the test
-suite cross-checks them against quadrature and scipy.
+complete elliptic integrals by the AGM.  Since 0.18.0 no subcommand calls
+``elliptic_ke`` (the elliptic PT law is two power series in ``analytic``);
+it stays because the benchmark's tracer wraps it by name (bench/spans.py),
+and the test suite cross-checks it against quadrature and scipy.
 """
 
 from __future__ import annotations
@@ -35,15 +36,7 @@ def elliptic_ke(param):
     m = np.asarray(param, dtype=float)
     if not np.all((0.0 <= m) & (m <= 1.0)):
         raise ValueError(f"parameter must lie in [0, 1], got {param}")
-    return _agm_ke(np.sqrt(1.0 - m))
-
-
-def _agm_ke(b0):
-    """(K, E) at the parameter m = 1 - b0^2, for b0 in [0, 1], by the AGM
-    started from (1, b0).  A caller that knows b0 exactly passes it: near
-    m = 1, forming m first rounds away the low bits of b0^2 that K depends
-    on.  Same conventions as ``elliptic_ke``."""
-    b = np.asarray(b0, dtype=float)
+    b = np.sqrt(1.0 - m)
     a = np.ones_like(b)
     pow2 = 0.5
     csum = pow2 * (1.0 - b) * (1.0 + b)

@@ -1,7 +1,7 @@
 """Shared fixtures, and the states, witnesses and laws that only the tests
-use: single Haar draws, GHZ states, Schmidt decompositions, the optimal
-witness of a known state, the contraction oracle ``expectation`` and the
-Marcenko-Pastur law."""
+use: single Haar draws, GHZ states, Schmidt decompositions, the dense
+partial trace and entropy, the optimal witness of a known state, the
+contraction oracle ``expectation`` and the Marcenko-Pastur law."""
 
 import math
 from dataclasses import dataclass
@@ -94,13 +94,47 @@ def schmidt(state: PureState) -> SchmidtDecomposition:
     Coefficients are sorted nonincreasing; the rank counts coefficients above
     ``SCHMIDT_RANK_RTOL`` relative to the largest one.
     """
-    u, s, vh = np.linalg.svd(state.matrix, full_matrices=False)
+    u, s, vh = np.linalg.svd(state.amplitudes.reshape(state.dims.n_a, state.dims.n_b), full_matrices=False)
     rank = int(np.sum(s > SCHMIDT_RANK_RTOL * s[0]))
     return SchmidtDecomposition(
         coefficients=_frozen_array(s),
         basis_a=_frozen_array(u.T),
         basis_b=_frozen_array(vh),
         rank=rank,
+    )
+
+
+def partial_trace_b(state: PureState | MixedState) -> np.ndarray:
+    """Reduced state on A: (rho_A)_ij = sum_alpha rho_{i alpha, j alpha}, read
+    from the amplitude rows of the state (a pure state is a mixture of one)."""
+    mats = state.amplitudes.reshape(-1, state.dims.n_a, state.dims.n_b)
+    return np.einsum("kab,kcb->ac", mats, mats.conj()) / len(mats)
+
+
+def von_neumann_entropy(mat: np.ndarray) -> float:
+    """Entropy -sum(lam * log2(lam)) in bits of a PSD, trace-one matrix.
+
+    Eigenvalues below -1e-8 are rejected; small negative round-off is clipped
+    to zero and 0*log(0) is taken as 0.
+    """
+    mat = np.asarray(mat, dtype=np.complex128)
+    vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
+    if vals[0] < -1e-8:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {vals[0]:.3e}")
+    if abs(vals.sum() - 1.0) > 1e-8:
+        raise ValueError(f"trace differs from 1 by {abs(vals.sum() - 1.0):.3e}")
+    vals = vals[vals > 0]
+    return float(-(vals * np.log2(vals)).sum())
+
+
+def scan_curve(scan, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, value, std_err) of the rows of a ``ScanResult`` at dimension n,
+    in ascending m."""
+    sel = sorted((r for r in scan.rows if r.n == n), key=lambda r: r.m)
+    return (
+        np.array([r.m for r in sel]),
+        np.array([r.value for r in sel]),
+        np.array([r.std_err for r in sel]),
     )
 
 

@@ -26,7 +26,7 @@ from witness_lab.qstate import BipartiteDims, partial_transpose_b
 from witness_lab.witness import witness_from_vector
 
 from conftest import expectation, ghz_state, marcenko_pastur, optimal_witness, product_density, rng, sample_random_pure
-from conftest import schmidt, total_mass
+from conftest import scan_curve, schmidt, total_mass
 
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
@@ -124,7 +124,7 @@ def test_c07a_lambda_min_scaling():
     details = []
     ok = True
     for n in (8, 16, 32):
-        _, vals, ses = scan.for_n(n)
+        _, vals, ses = scan_curve(scan, n)
         scaled = n * vals[0]
         ok = ok and abs(scaled + 4.0) < 0.4
         details.append(f"N={n}: N*mean = {scaled:.3f} +- {n * ses[0]:.3f}")

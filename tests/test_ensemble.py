@@ -31,6 +31,7 @@ from witness_lab.ensemble import (
 from witness_lab.ensemble import _STREAM_LMIN, _interp_crossing, _monotone_in_m, _rng_for
 from witness_lab.qstate import (
     BipartiteDims,
+    MixedState,
     mix_random_states,
     mixture_density,
     mixture_pt_eigenvalues,
@@ -39,7 +40,8 @@ from witness_lab.qstate import (
 )
 from witness_lab.witness import pt_quadratic_form_batch, witness_spectrum
 
-from conftest import maximally_mixed, optimal_witness, rank2_overlap_distribution, rng
+from conftest import maximally_mixed, optimal_witness, partial_trace_b, rank2_overlap_distribution, rng, scan_curve
+from conftest import von_neumann_entropy
 
 
 def _pure_pt_reference(amps: np.ndarray, dims: BipartiteDims) -> np.ndarray:
@@ -508,7 +510,7 @@ class TestLambdaMinScan:
 
     def test_pure_state_values_and_m_star_bracket(self):
         scan = run_lambda_min_scan([8], [1, 2], repetitions=40, seed=17, workers=2)
-        ms, vals, ses = scan.for_n(8)
+        ms, vals, ses = scan_curve(scan, 8)
         # N * mean lambda_min at m=1 sits in the finite-size band near -2.4
         assert -3.0 < 8 * vals[0] < -2.0
         assert vals[0] < vals[1] < 0  # m=2 is less negative
@@ -562,7 +564,7 @@ def critical_m(scan: ScanResult, epsilon: float, scaling: str = "const") -> tupl
     out = []
     for n in scan.n_values:
         eps_n = epsilon / {"const": 1.0, "inv_N": n, "inv_N2": n * n}[scaling]
-        ms, vals, _ = scan.for_n(n)
+        ms, vals, _ = scan_curve(scan, n)
         target = -eps_n
         if vals[0] >= target:
             out.append(CriticalMRow(n=n, epsilon=eps_n, m_crit=0.0))
@@ -707,6 +709,27 @@ class TestDenseCoding:
         margin = dense_coding_margin(st)
         assert not margin > 0
         assert margin == pytest.approx(-math.log2(8), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "n_a, n_b, m",
+        [(n_a, n_b, m) for n_a, n_b in ((3, 5), (5, 3), (8, 8), (16, 16)) for m in (1, 2, 7, 64, 300)] + [(32, 32, 16)],
+    )
+    def test_margin_equals_the_dense_entropies(self, n_a, n_b, m):
+        st = mix_random_states(BipartiteDims(n_a, n_b), m, rng(1000 * n_a + 100 * n_b + m))
+        dense = von_neumann_entropy(partial_trace_b(st)) - von_neumann_entropy(st.to_matrix())
+        assert abs(dense_coding_margin(st) - dense) <= 1e-12
+
+    def test_margin_forms_no_density_matrix(self, monkeypatch):
+        st = mix_random_states(BipartiteDims(8, 8), 7, rng(41))
+        want = dense_coding_margin(st)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("the margin formed a density matrix or solved one")
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, dense)
+        monkeypatch.setattr(MixedState, "to_matrix", dense)
+        assert dense_coding_margin(st) == want
 
     def test_rejects_m_below_one(self):
         with pytest.raises(ValueError, match="mixture size must be >= 1, got 0"):

@@ -9,13 +9,11 @@ from witness_lab.qstate import (
     mix_random_states,
     mixture_density,
     mixture_pt_eigenvalues,
-    partial_trace_b,
     partial_transpose_b,
     sample_random_pure_batch,
-    von_neumann_entropy,
 )
 
-from conftest import ghz_state, product_density, rng, sample_random_pure, schmidt
+from conftest import ghz_state, partial_trace_b, product_density, rng, sample_random_pure, schmidt, von_neumann_entropy
 
 
 def random_density(n, r):
@@ -179,7 +177,8 @@ class TestPartialTrace:
     def test_reduced_spectra_agree_up_to_padding(self, seed, na, nb):
         psi = sample_random_pure(BipartiteDims(na, nb), rng(seed))
         ev_a = np.sort(np.linalg.eigvalsh(partial_trace_b(psi)))[::-1]
-        rho_b = psi.matrix.T @ psi.matrix.conj()
+        psi_mat = psi.amplitudes.reshape(na, nb)
+        rho_b = psi_mat.T @ psi_mat.conj()
         ev_b = np.sort(np.linalg.eigvalsh(rho_b))[::-1]
         k = min(na, nb)
         np.testing.assert_allclose(ev_a[:k], ev_b[:k], atol=1e-9)

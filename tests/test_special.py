@@ -3,6 +3,7 @@ direct integration of the defining integrals)."""
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -207,18 +208,26 @@ def test_pt_law_cdf_makes_no_quadrature_or_density_call(monkeypatch):
 
     for name in ("cumulative", "integrate", "_adaptive", "_gk15"):
         monkeypatch.setattr(quadrature, name, no_quadrature)
-    monkeypatch.setattr(analytic, "_pt_eigs_pdf", no_quadrature)
+    monkeypatch.setattr(analytic, "_pt_pdf", no_quadrature)
     assert np.array_equal(analytic.cdf_on_sorted(d, xs), want)
     assert analytic.cdf_eval(d, -4.0) == 0.0 and analytic.cdf_eval(d, 4.0) == 1.0
 
 
+def _pt_law_pdf_scipy(t: float) -> float:
+    """((16 + t^2) K - 32 E) / (8 pi^2) at parameter 1 - t^2/16, with K from
+    ``ellipkm1``, which takes 1 - m = t^2/16 and so keeps its bits near t = 0."""
+    return ((16.0 + t * t) * sp_special.ellipkm1(t * t / 16.0) - 32.0 * sp_special.ellipe(1.0 - t * t / 16.0)) / (
+        8.0 * math.pi**2
+    )
+
+
 def test_pt_law_cdf_within_1e12_of_scipy_quad():
+    # the integrand is scipy's K and E, not the density the series shares
     d = analytic.pt_eigs()
-    pdf = lambda t: analytic.density_eval(d, t)  # noqa: E731
     interior = [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 2.8, 3.0, 3.5, 3.9, 3.999999]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sp_integrate.IntegrationWarning)
-        oracle = [sp_integrate.quad(pdf, 0.0, y, limit=200, epsabs=1e-14, epsrel=1e-14) for y in interior]
+        oracle = [sp_integrate.quad(_pt_law_pdf_scipy, 0.0, y, limit=200, epsabs=1e-14, epsrel=1e-14) for y in interior]
     checked = [(y, val) for y, (val, err) in zip(interior, oracle) if err < 1e-13]
     assert len(checked) >= 8
     for y, val in checked:
@@ -263,3 +272,32 @@ def test_mp_law_goes_through_the_array_path(monkeypatch):
     assert len(checked) >= 6
     for x, val in checked:
         assert abs(cdf_eval(d, x) - val) <= 1e-12
+
+
+_PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _pt_law_pdf_decimal(y: float) -> Decimal:
+    """((16 + y^2) K - 32 E) / (8 pi^2) at m = 1 - y^2/16 in 40-digit decimal
+    arithmetic, with K = (pi/2) sum a_n^2 m^n and E = (pi/2) sum a_n^2 m^n /
+    (1 - 2n), a_n = (1/2)_n / n! (DLMF 19.5.1-2)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        y = Decimal(y)
+        m = 1 - y * y / 16
+        term, k_sum, e_sum, n = Decimal(1), Decimal(0), Decimal(0), 0
+        while term > Decimal("1e-45"):
+            k_sum += term
+            e_sum += term / (1 - 2 * n)
+            n += 1
+            term *= m * (Decimal(2 * n - 1) / (2 * n)) ** 2
+        return ((16 + y * y) * k_sum - 32 * e_sum) / (16 * _PI_50)
+
+
+@pytest.mark.parametrize("y", [2.5, 3.5, 3.9, 3.99, 3.999, 3.999999])
+def test_pt_law_density_within_1e14_relative_of_40_digits(y):
+    # towards the edge of the support, where (16 + y^2) K and 32 E cancel
+    d = analytic.pt_eigs()
+    want = _pt_law_pdf_decimal(y)
+    for x in (y, -y):
+        assert abs(Decimal(analytic.density_eval(d, x)) - want) <= Decimal("1e-14") * want

@@ -208,7 +208,7 @@ class TestExpectation:
         w = witness_from_vector(sample_random_pure(dims, rng(6)))
         psi = sample_random_pure(dims, rng(7))
         phi = w.q_vectors[0].reshape(dims.n_a, dims.n_b)
-        assert expectation(w, psi) == dims.total * pt_quadratic_form(phi, psi.matrix)
+        assert expectation(w, psi) == dims.total * pt_quadratic_form(phi, psi.amplitudes.reshape(dims.n_a, dims.n_b))
 
     def test_quadratic_form_matches_explicit_matrix_path(self):
         # the two evaluation routes must agree to near round-off
@@ -429,7 +429,7 @@ class TestOverlapModel:
             batches = (sample_random_pure_batch(dims, 4096, r_quantum).reshape(shape) for _ in range(25))
             quantum = np.concatenate([schmidt_diag_w(mu, amps) for amps in batches])
             # the elementwise form against the generic contraction kernel
-            phi = schmidt_diag_state(dims, probs).matrix
+            phi = schmidt_diag_state(dims, probs).amplitudes.reshape(dims.n_a, dims.n_b)
             small = sample_random_pure_batch(dims, 64, rng(seed + 200)).reshape(64, dims.n_a, dims.n_b)
             generic = dims.total * pt_quadratic_form_batch(phi, small)
             np.testing.assert_allclose(schmidt_diag_w(mu, small), generic, rtol=0, atol=1e-12)
