@@ -20,9 +20,11 @@ and standard error as rows drawn apart.
 A decay scan maps one run of pure-state w values, chunked as above on
 (seed, _STREAM_DECAY, chunk), and point m averages its first n_m * m in
 groups of m: the points share their draws, each with the law it had alone.
-A chunk draws the Gamma variates of a witness's zero eigenvalues from a
-child of its seed sequence, so the first k values of a run do not depend
-on its length, and a longer scan keeps the rows of a shorter one.
+A chunk draws its exponentials from its seed sequence, and the Gamma
+variates (zero eigenvalues and paired halves) and the signs of a
+witness's +-p eigenvalue pairs from its first and second child, each a
+fixed count per pure state.  So the first k values of a run do not
+depend on its length, and a longer scan keeps the rows of a shorter one.
 
 Thread policy
 -------------
@@ -310,20 +312,36 @@ def _w_chunk_task(task) -> np.ndarray:
         return out
 
     # Haar invariance: <psi|W|psi> = sum_k lam_k E_k / sum_k E_k exactly, with
-    # E_k i.i.d. Exp(1) over all n_a n_b eigenvalues of W; the zeros of the
-    # spectrum contribute only their sum, one Gamma(zeros) draw from a child
-    # stream, so a chunk's exponentials do not depend on its batch lengths
-    lam, zeros = spectrum
-    gamma_rng = np.random.default_rng(seq.spawn(1)[0])
-    group = max(1, min(count, _MAX_BATCH_VARIATES // (m * len(lam))))
+    # E_k i.i.d. Exp(1) over all n_a n_b eigenvalues of W.  A pair +-p adds
+    # p (E+ - E-) and E+ + E-, which have the joint law of p s X and X + 2Y:
+    # X = |E+ - E-| and 2Y = 2 min(E+, E-) are independent Exp(1) and the sign
+    # s is fair (memorylessness).  So a row draws one exponential per pair and
+    # per unpaired value, one sign per pair, and one Gamma(zeros + pairs) for
+    # the zeros and every 2Y.  The Gammas and the signs (one raw 64-bit word
+    # per 64 pairs) come from two child streams, each a fixed count per row,
+    # so no bit depends on a chunk's batch lengths.
+    pairs, unpaired, zeros = spectrum
+    coef = np.concatenate([pairs, unpaired])
+    p, words = len(pairs), -(-len(pairs) // 64)
+    gamma_seq, sign_seq = seq.spawn(2)
+    gamma_rng = np.random.default_rng(gamma_seq)
+    sign_bits = np.random.PCG64(sign_seq)
+    group = max(1, min(count, _MAX_BATCH_VARIATES // (m * len(coef))))
+    flipped = np.empty((group * m, p))  # a pair's exponential where its sign is -, else 0
     done = 0
     while done < count:
         g = min(group, count - done)
-        e = rng.standard_exponential((g * m, len(lam)))
+        rows = g * m
+        e = rng.standard_exponential((rows, len(coef)))
         total = e.sum(axis=1)
-        if zeros:
-            total += gamma_rng.standard_gamma(zeros, g * m)
-        out[done : done + g] = dim * (e @ lam / total).reshape(g, m).mean(axis=1)
+        if zeros + p:
+            total += gamma_rng.standard_gamma(zeros + p, rows)
+        num = e @ coef
+        if p:
+            raw = sign_bits.random_raw(rows * words).astype("<u8", copy=False).view(np.uint8)
+            neg = np.unpackbits(raw.reshape(rows, 8 * words), axis=1, count=p, bitorder="little")
+            num -= 2.0 * (np.multiply(e[:, :p], neg.view(bool), out=flipped[:rows]) @ pairs)
+        out[done : done + g] = dim * (num / total).reshape(g, m).mean(axis=1)
         done += g
     return out
 

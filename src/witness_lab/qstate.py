@@ -127,10 +127,6 @@ class PureState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", _rows(np.asarray(self.amplitudes)[None], self.dims)[0])
 
-    def to_matrix(self) -> np.ndarray:
-        """Density matrix |psi><psi|."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
 
 @dataclass(frozen=True, eq=False)
 class MixedState:
@@ -150,10 +146,6 @@ class MixedState:
     @property
     def m(self) -> int:
         return len(self.amplitudes)
-
-    def to_matrix(self) -> np.ndarray:
-        """Explicit density matrix, formed anew on each call."""
-        return mixture_density(self.amplitudes)
 
 
 def sample_random_pure_batch(dims: BipartiteDims, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -58,11 +58,20 @@ class Witness:
 
 
 class WitnessSpectrum(NamedTuple):
-    """Spectrum of W: the nonzero eigenvalues, ascending, and the number of
-    zero eigenvalues; len(nonzero) + zeros = n_a * n_b."""
+    """Spectrum of W: the magnitudes p > 0 of its exact +-p eigenvalue
+    pairs, its other nonzero eigenvalues, and the number of zero
+    eigenvalues; 2 len(pairs) + len(unpaired) + zeros = n_a * n_b.  Only
+    the Schmidt form of a rank-one witness names pairs (its +-mu_i mu_j); a
+    dense solve reports none, and its unpaired values come ascending."""
 
-    nonzero: np.ndarray
+    pairs: np.ndarray
+    unpaired: np.ndarray
     zeros: int
+
+    @property
+    def nonzero(self) -> np.ndarray:
+        """Every nonzero eigenvalue, ascending."""
+        return np.sort(np.concatenate([-self.pairs, self.pairs, self.unpaired]))
 
 
 def witness_from_vector(phi: PureState) -> Witness:
@@ -129,19 +138,26 @@ def pt_quadratic_form_batch(phi_matrix: np.ndarray, psi_matrices: np.ndarray) ->
 def witness_spectrum(witness: Witness) -> WitnessSpectrum:
     """Eigenvalues of W.
 
-    A rank-one witness has the closed-form spectrum of a
-    partially transposed pure state, {mu_i^2} and {+-mu_i mu_j} from the
-    Schmidt coefficients of its vector; anything else takes one dense
-    eigensolve of the (n_a n_b)^2 matrix, ``qstate.hermitian_eigenvalues``
-    on the fresh buffer of ``to_matrix``.  Eigenvalues within
-    ``ZERO_EIGENVALUE_RTOL`` of zero, relative to the largest, count as zeros.
+    A rank-one witness has the closed-form spectrum of a partially
+    transposed pure state, the pairs +-mu_i mu_j (i < j) and the unpaired
+    mu_i^2 from the Schmidt coefficients of its vector; anything else takes
+    one dense eigensolve of the (n_a n_b)^2 matrix,
+    ``qstate.hermitian_eigenvalues`` on the fresh buffer of ``to_matrix``.
+    Eigenvalues within ``ZERO_EIGENVALUE_RTOL`` of zero, relative to the
+    largest, count as zeros.
     """
     if witness.rank == 1:
-        eig = np.sort(mixture_pt_eigenvalues(witness.q_vectors, witness.dims))
+        # schmidt_pt_eigenvalues' layout: the s(s-1)/2 mu_i mu_j, their
+        # negatives, then the s values mu_i^2
+        s = witness.dims.schmidt_len
+        eig = mixture_pt_eigenvalues(witness.q_vectors, witness.dims)
+        off, diag = eig[: s * (s - 1) // 2], eig[s * (s - 1) :]
     else:
         eig = hermitian_eigenvalues(witness.to_matrix())
-    nonzero = eig[np.abs(eig) > ZERO_EIGENVALUE_RTOL * np.abs(eig).max()]
-    return WitnessSpectrum(nonzero=nonzero, zeros=witness.dims.total - len(nonzero))
+        off, diag = eig[:0], eig
+    floor = ZERO_EIGENVALUE_RTOL * np.abs(eig).max()
+    pairs, unpaired = off[off > floor], diag[np.abs(diag) > floor]
+    return WitnessSpectrum(pairs, unpaired, witness.dims.total - 2 * len(pairs) - len(unpaired))
 
 
 def predicted_cumulants(spectrum: WitnessSpectrum, m: int = 1) -> dict[int, float]:

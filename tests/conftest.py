@@ -1,7 +1,8 @@
 """Shared fixtures, and the states, witnesses and laws that only the tests
-use: single Haar draws, GHZ states, Schmidt decompositions, the dense
-partial trace and entropy, the optimal witness of a known state, the
-contraction oracle ``expectation`` and the Marcenko-Pastur law."""
+use: single Haar draws, GHZ states, Schmidt decompositions, explicit
+density matrices, the dense partial trace and entropy, the optimal witness
+of a known state, the contraction oracle ``expectation`` and the
+Marcenko-Pastur law."""
 
 import math
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from scipy import integrate
 from witness_lab import analytic
 from witness_lab.analytic import AnalyticDensity
 from witness_lab.ensemble import WitnessSpec, derive_witness, empirical_from_samples, run_w_ensemble
-from witness_lab.qstate import BipartiteDims, MixedState, PureState, partial_transpose_b, sample_random_pure_batch
+from witness_lab.qstate import BipartiteDims, MixedState, PureState, mixture_density, partial_transpose_b, sample_random_pure_batch
 from witness_lab.witness import Witness, pt_quadratic_form_batch, witness_from_vector
 
 SCHMIDT_RANK_RTOL = 1e-12
@@ -104,6 +105,15 @@ def schmidt(state: PureState) -> SchmidtDecomposition:
     )
 
 
+def density_matrix(state: PureState | MixedState) -> np.ndarray:
+    """Explicit density matrix of a state, formed anew on each call: the
+    outer product |psi><psi| of a pure state, ``qstate.mixture_density`` of
+    a mixture's rows."""
+    if isinstance(state, PureState):
+        return np.outer(state.amplitudes, state.amplitudes.conj())
+    return mixture_density(state.amplitudes)
+
+
 def partial_trace_b(state: PureState | MixedState) -> np.ndarray:
     """Reduced state on A: (rho_A)_ij = sum_alpha rho_{i alpha, j alpha}, read
     from the amplitude rows of the state (a pure state is a mixture of one)."""
@@ -177,7 +187,7 @@ def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
         vec = (np.kron(a[0], b[1]) - np.kron(a[1], b[0])) / np.sqrt(2.0)
         lam_min = -float(sd.coefficients[0] * sd.coefficients[1])
     else:
-        vals, vecs = np.linalg.eigh(partial_transpose_b(state.to_matrix(), state.dims))
+        vals, vecs = np.linalg.eigh(partial_transpose_b(density_matrix(state), state.dims))
         vec, lam_min = vecs[:, 0], float(vals[0])
     w = witness_from_vector(PureState(state.dims, vec))
     return OptimalWitnessResult(witness=w, lambda_min=lam_min)

@@ -25,7 +25,7 @@ from witness_lab.ensemble import (
 from witness_lab.qstate import BipartiteDims, partial_transpose_b
 from witness_lab.witness import witness_from_vector
 
-from conftest import expectation, ghz_state, marcenko_pastur, optimal_witness, product_density, rng, sample_random_pure
+from conftest import density_matrix, expectation, ghz_state, marcenko_pastur, optimal_witness, product_density, rng, sample_random_pure
 from conftest import scan_curve, schmidt, total_mass
 
 
@@ -213,7 +213,7 @@ def test_c11_property_suites():
     from witness_lab.qstate import mixture_pt_eigenvalues
 
     psi = sample_random_pure(dims, r)
-    eigenvalues = np.linalg.eigvalsh(partial_transpose_b(psi.to_matrix(), dims))
+    eigenvalues = np.linalg.eigvalsh(partial_transpose_b(density_matrix(psi), dims))
     if np.abs(eigenvalues - np.sort(mixture_pt_eigenvalues(psi.amplitudes[None], dims))).max() > 1e-9:
         failures.append("PT spectrum identity")
 

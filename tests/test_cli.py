@@ -353,8 +353,8 @@ class TestCoreCountIndependence:
     stays single-threaded anyway; 16 x 16 mixtures and the dense spectrum of
     a 32 x 32 rank-k witness are where it would not.  The batched SVDs of
     32 x 32 pure states and the Schmidt-form spectra of the random and
-    rank-2 witnesses cover the other paths, and the optimal witness the
-    per-mixture dense solves of wdist."""
+    rank-2 witnesses, with their signed-pair draws, cover the other paths,
+    and the optimal witness the per-mixture dense solves of wdist."""
 
     WDIST_OUTPUTS = ("wdist_hist.csv", "wdist_analytic.csv", "wdist_summary.json")
     RUNS = {
@@ -363,6 +363,7 @@ class TestCoreCountIndependence:
         "densecoding": (["densecoding", "--dims", "16", "16", "--m-list", "64,300", "--reps", "3"], ("densecoding_scan.csv", "densecoding_summary.json")),
         "wdist-rankk": (["wdist", "--dims", "32", "32", "--samples", "4096", "--witness", "rankk:16", "--seed", "3"], WDIST_OUTPUTS),
         "decay-rankk": (["decay", "--dims", "32", "32", "--m-max", "3", "--samples", "1000", "--witness", "rankk:2", "--seed", "3"], ("decay_scan.csv", "decay_summary.json")),
+        "decay-random": (["decay", "--dims", "32", "32", "--m-max", "3", "--samples", "1000", "--seed", "3"], ("decay_scan.csv", "decay_summary.json")),
         "ptspec-pure": (["ptspec", "--dims", "32", "32", "--states", "40"], ("ptspec_hist.csv", "ptspec_overlay.csv", "ptspec_summary.json")),
         "wdist-random": (["wdist", "--dims", "32", "32", "--samples", "4096", "--seed", "3"], WDIST_OUTPUTS),
         "wdist-rank2": (["wdist", "--dims", "32", "32", "--samples", "4096", "--witness", "rank2:0.3", "--seed", "3"], WDIST_OUTPUTS),

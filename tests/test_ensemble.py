@@ -31,7 +31,6 @@ from witness_lab.ensemble import (
 from witness_lab.ensemble import _STREAM_LMIN, _interp_crossing, _monotone_in_m, _rng_for
 from witness_lab.qstate import (
     BipartiteDims,
-    MixedState,
     mix_random_states,
     mixture_density,
     mixture_pt_eigenvalues,
@@ -41,7 +40,7 @@ from witness_lab.qstate import (
 from witness_lab.witness import pt_quadratic_form_batch, witness_spectrum
 
 from conftest import maximally_mixed, optimal_witness, partial_trace_b, rank2_overlap_distribution, rng, scan_curve
-from conftest import von_neumann_entropy
+from conftest import density_matrix, von_neumann_entropy
 
 
 def _pure_pt_reference(amps: np.ndarray, dims: BipartiteDims) -> np.ndarray:
@@ -307,6 +306,28 @@ class TestWEnsemble:
         assert stats.ks_2samp(quantum.samples, model.samples, method="asymp").statistic < 0.02
 
 
+def _all_exponential_samples(dims, samples, m, spectrum, entropy):
+    """The spectral sampler before it split off the +-p pairs: per row one
+    Exp(1) for every nonzero eigenvalue, ascending, and one Gamma(zeros)
+    from the first child of the chunk's seed sequence; chunked as
+    ``ensemble._w_samples`` chunks."""
+    lam, zeros = spectrum.nonzero, spectrum.zeros
+    parts = []
+    for chunk, start in enumerate(range(0, samples, ensemble.CHUNK_SAMPLES)):
+        count = min(ensemble.CHUNK_SAMPLES, samples - start)
+        seq = np.random.SeedSequence([*entropy, chunk])
+        r, gamma_rng = np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
+        group = max(1, min(count, ensemble._MAX_BATCH_VARIATES // (m * len(lam))))
+        for done in range(0, count, group):
+            g = min(group, count - done)
+            e = r.standard_exponential((g * m, len(lam)))
+            total = e.sum(axis=1)
+            if zeros:
+                total += gamma_rng.standard_gamma(zeros, g * m)
+            parts.append(dims.total * (e @ lam / total).reshape(g, m).mean(axis=1))
+    return np.concatenate(parts)
+
+
 class TestSpectralSampler:
     """The fixed-witness sampler against direct contractions of Haar states
     with the witness vectors, and against the exact finite-N moments."""
@@ -348,6 +369,39 @@ class TestSpectralSampler:
         assert (len(spectrum.nonzero), spectrum.zeros) == (4, 60)
         short, long = (ensemble._w_samples(dims, n, 1, spectrum, (0, ensemble._STREAM_W), 1) for n in (1000, 1001))
         assert np.array_equal(long[:1000], short)
+
+    def test_a_longer_paired_run_extends_a_shorter_one(self):
+        # 28 pairs, 8 unpaired values: each run is one batch, so the sign
+        # words and the Gammas must not share the stream of the exponentials
+        dims = BipartiteDims(8, 8)
+        spectrum = witness_spectrum(derive_witness(dims, WitnessSpec("random"), 0))
+        assert (len(spectrum.pairs), len(spectrum.unpaired), spectrum.zeros) == (28, 8, 0)
+        short, long = (ensemble._w_samples(dims, n, 1, spectrum, (0, ensemble._STREAM_W), 1) for n in (1000, 1001))
+        assert np.array_equal(long[:1000], short)
+
+    # 12 x 12 has 66 pairs, so a row's signs take two 64-bit words
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (8, 8), (12, 12)])
+    def test_paired_draws_have_the_law_of_the_all_exponential_sampler(self, shape, m):
+        dims = BipartiteDims(*shape)
+        n = self.SAMPLES
+        witness = derive_witness(dims, WitnessSpec("random"), 44)
+        spectrum = witness_spectrum(witness)
+        w = ensemble._w_samples(dims, n, m, spectrum, (45, 1), workers=1)
+        reference = _all_exponential_samples(dims, n, m, spectrum, (46, 1))
+        eps = 2 * math.sqrt(math.log(2 / 0.5e-6) / (2 * n))  # the DKW bound above
+        assert stats.ks_2samp(w, reference, method="asymp").statistic < eps
+        rows = cumulant_report(empirical_from_samples(w), witness, m=m)
+        assert all(abs(r.z_score) <= 4 for r in rows), [r.z_score for r in rows]
+
+    @pytest.mark.parametrize("spec", ["rankk:3", "rankk:16"])
+    def test_a_dense_spectrum_keeps_the_all_exponential_bits(self, spec):
+        # a dense solve reports no pairs: the sampler draws what it drew before
+        # pairs were split off, bit for bit, over two chunks and m = 2
+        dims = BipartiteDims(32, 32)
+        spectrum = witness_spectrum(derive_witness(dims, WitnessSpec.parse(spec), 47))
+        got = ensemble._w_samples(dims, 4100, 2, spectrum, (48, 1), workers=1)
+        assert np.array_equal(got, _all_exponential_samples(dims, 4100, 2, spectrum, (48, 1)))
 
 
 class TestRankKGaussianity:
@@ -716,7 +770,7 @@ class TestDenseCoding:
     )
     def test_margin_equals_the_dense_entropies(self, n_a, n_b, m):
         st = mix_random_states(BipartiteDims(n_a, n_b), m, rng(1000 * n_a + 100 * n_b + m))
-        dense = von_neumann_entropy(partial_trace_b(st)) - von_neumann_entropy(st.to_matrix())
+        dense = von_neumann_entropy(partial_trace_b(st)) - von_neumann_entropy(density_matrix(st))
         assert abs(dense_coding_margin(st) - dense) <= 1e-12
 
     def test_margin_forms_no_density_matrix(self, monkeypatch):
@@ -728,7 +782,7 @@ class TestDenseCoding:
 
         for name in ("eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, dense)
-        monkeypatch.setattr(MixedState, "to_matrix", dense)
+        monkeypatch.setattr(qstate, "mixture_density", dense)
         assert dense_coding_margin(st) == want
 
     def test_rejects_m_below_one(self):

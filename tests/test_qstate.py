@@ -13,7 +13,7 @@ from witness_lab.qstate import (
     sample_random_pure_batch,
 )
 
-from conftest import ghz_state, partial_trace_b, product_density, rng, sample_random_pure, schmidt, von_neumann_entropy
+from conftest import density_matrix, ghz_state, partial_trace_b, product_density, rng, sample_random_pure, schmidt, von_neumann_entropy
 
 
 def random_density(n, r):
@@ -94,7 +94,7 @@ class TestMixtures:
             mix_random_states(BipartiteDims(2, 2), 0, rng(0))
 
     def test_pure_mixture_has_unit_purity(self):
-        rho = mix_random_states(BipartiteDims(2, 2), 1, rng(1)).to_matrix()
+        rho = density_matrix(mix_random_states(BipartiteDims(2, 2), 1, rng(1)))
         assert abs(np.trace(rho @ rho).real - 1.0) < 1e-10
 
     def test_two_component_purity_matches_algebra(self):
@@ -102,7 +102,7 @@ class TestMixtures:
         st8 = mix_random_states(BipartiteDims(2, 2), 2, rng(2))
         a, b = st8.amplitudes
         ov = abs(np.vdot(a, b)) ** 2
-        rho = st8.to_matrix()
+        rho = density_matrix(st8)
         assert np.trace(rho @ rho).real == pytest.approx((1.0 + ov) / 2.0, abs=1e-12)
 
     def test_large_m_approaches_maximally_mixed(self):
@@ -111,11 +111,11 @@ class TestMixtures:
         dims = BipartiteDims(8, 8)
         target = 1.0 / dims.total
         st16 = mix_random_states(dims, 16 * dims.total, rng(3))
-        vals = np.linalg.eigvalsh(st16.to_matrix())
+        vals = np.linalg.eigvalsh(density_matrix(st16))
         assert vals.min() > (1 - 0.25) ** 2 * target * 0.9
         assert vals.max() < (1 + 0.25) ** 2 * target * 1.1
         st64 = mix_random_states(dims, 64 * dims.total, rng(3))
-        vals64 = np.linalg.eigvalsh(st64.to_matrix())
+        vals64 = np.linalg.eigvalsh(density_matrix(st64))
         assert np.abs(vals64 - target).max() < np.abs(vals - target).max()
         assert np.abs(vals64 / target - 1.0).max() < 0.35
 
@@ -191,7 +191,7 @@ class TestPartialTrace:
     def test_mixed_state_forms_agree(self):
         st8 = mix_random_states(BipartiteDims(3, 4), 3, rng(12))
         from_list = partial_trace_b(st8)
-        from_matrix = np.einsum("iaja->ij", st8.to_matrix().reshape(3, 4, 3, 4))
+        from_matrix = np.einsum("iaja->ij", density_matrix(st8).reshape(3, 4, 3, 4))
         np.testing.assert_allclose(from_list, from_matrix, atol=1e-12)
 
 
@@ -202,7 +202,7 @@ class TestPartialTranspose:
         np.testing.assert_allclose(partial_transpose_b(rho, dims), rho, atol=0)
 
     def test_bell_eigenvalues(self):
-        rho = ghz_state(2).to_matrix()
+        rho = density_matrix(ghz_state(2))
         pt = partial_transpose_b(rho, BipartiteDims(2, 2))
         ev = np.sort(np.linalg.eigvalsh(pt))
         np.testing.assert_allclose(ev, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
@@ -234,7 +234,7 @@ class TestSpectrum:
         # eigenvalues of the partially transposed projector are +-mu_i mu_j
         # (i < j) together with mu_i^2
         psi = sample_random_pure(BipartiteDims(n, n), rng(seed))
-        pt = partial_transpose_b(psi.to_matrix(), psi.dims)
+        pt = partial_transpose_b(density_matrix(psi), psi.dims)
         direct = np.sort(np.linalg.eigvalsh(pt))
         law = np.sort(mixture_pt_eigenvalues(psi.amplitudes[None], psi.dims))
         np.testing.assert_allclose(direct, law, atol=1e-9)
@@ -303,7 +303,7 @@ class TestMixtureDensity:
 class TestEntropy:
     def test_pure_state_zero(self):
         psi = sample_random_pure(BipartiteDims(2, 3), rng(31))
-        assert von_neumann_entropy(psi.to_matrix()) == pytest.approx(0.0, abs=1e-9)
+        assert von_neumann_entropy(density_matrix(psi)) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_qubit_is_one_bit(self):
         assert von_neumann_entropy(np.diag([0.5, 0.5])) == pytest.approx(1.0, abs=1e-12)

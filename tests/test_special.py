@@ -153,10 +153,19 @@ def _running_integrals(f, start, points):
     return np.array(out)
 
 
+def _pt_law_pdf_scipy(t: float) -> float:
+    """((16 + t^2) K - 32 E) / (8 pi^2) at parameter 1 - t^2/16, with K from
+    ``ellipkm1``, which takes 1 - m = t^2/16 and so keeps its bits near t = 0."""
+    return ((16.0 + t * t) * sp_special.ellipkm1(t * t / 16.0) - 32.0 * sp_special.ellipe(1.0 - t * t / 16.0)) / (
+        8.0 * math.pi**2
+    )
+
+
 def test_pt_law_cdf_within_1e9_of_per_gap_integrate():
     # the contract of the quadrature sweep the series replaced: the law is
     # even, F(y) = 1/2 + sgn(y) * (running integral from 0 over the sorted
-    # |y|), exactly 0 and 1 at and beyond -4 and 4
+    # |y|), exactly 0 and 1 at and beyond -4 and 4; the integrand is scipy's
+    # K and E, not the density the series shares
     d = analytic.pt_eigs()
     xs = np.sort(
         np.concatenate(
@@ -169,7 +178,7 @@ def test_pt_law_cdf_within_1e9_of_per_gap_integrate():
     got = analytic.cdf_on_sorted(d, xs)
     half = np.minimum(np.abs(xs), 4.0)
     sweep = np.sort(half)
-    running = _running_integrals(lambda t: analytic.density_eval(d, t), 0.0, sweep)
+    running = _running_integrals(_pt_law_pdf_scipy, 0.0, sweep)
     want = 0.5 + np.sign(xs) * running[np.searchsorted(sweep, half)]
     want[xs <= -4.0] = 0.0
     want[xs >= 4.0] = 1.0
@@ -180,8 +189,8 @@ def test_pt_law_cdf_within_1e9_of_per_gap_integrate():
 
 @pytest.mark.parametrize("y", [0.0, 1e-12, -1e-12, 1e-7, -1e-7, 3.999999, -3.999999, 4.0, -4.0, 4.5, -4.5])
 def test_pt_law_cdf_against_scipy_quad(y):
+    # the integrand is scipy's K and E, not the density the series shares
     d = analytic.pt_eigs()
-    pdf = lambda t: analytic.density_eval(d, t)  # noqa: E731
     if y <= -4.0:
         want = 0.0
     elif y >= 4.0:
@@ -189,7 +198,7 @@ def test_pt_law_cdf_against_scipy_quad(y):
     else:
         # from -4, in pieces that put the log peak at y = 0 on an endpoint
         cuts = [c for c in (-4.0, -1.0, -1e-3, 0.0, 1e-3, 1.0) if c < y] + [y]
-        pieces = [sp_integrate.quad(pdf, a, b, limit=200, epsabs=1e-14, epsrel=1e-14) for a, b in zip(cuts, cuts[1:])]
+        pieces = [sp_integrate.quad(_pt_law_pdf_scipy, a, b, limit=200, epsabs=1e-14, epsrel=1e-14) for a, b in zip(cuts, cuts[1:])]
         want = sum(val for val, _ in pieces)
         assert sum(err for _, err in pieces) < 1e-12
     xs = np.array([-5.0, y, 5.0])
@@ -211,14 +220,6 @@ def test_pt_law_cdf_makes_no_quadrature_or_density_call(monkeypatch):
     monkeypatch.setattr(analytic, "_pt_pdf", no_quadrature)
     assert np.array_equal(analytic.cdf_on_sorted(d, xs), want)
     assert analytic.cdf_eval(d, -4.0) == 0.0 and analytic.cdf_eval(d, 4.0) == 1.0
-
-
-def _pt_law_pdf_scipy(t: float) -> float:
-    """((16 + t^2) K - 32 E) / (8 pi^2) at parameter 1 - t^2/16, with K from
-    ``ellipkm1``, which takes 1 - m = t^2/16 and so keeps its bits near t = 0."""
-    return ((16.0 + t * t) * sp_special.ellipkm1(t * t / 16.0) - 32.0 * sp_special.ellipe(1.0 - t * t / 16.0)) / (
-        8.0 * math.pi**2
-    )
 
 
 def test_pt_law_cdf_within_1e12_of_scipy_quad():

@@ -27,7 +27,7 @@ from witness_lab.witness import (
     witness_spectrum,
 )
 
-from conftest import expectation, ghz_state, maximally_mixed, optimal_witness, product_density, rng
+from conftest import density_matrix, expectation, ghz_state, maximally_mixed, optimal_witness, product_density, rng
 from conftest import sample_random_pure, sample_w_overlap_model, schmidt
 
 
@@ -220,7 +220,7 @@ class TestExpectation:
             direct = float(np.vdot(psi.amplitudes, mat @ psi.amplitudes).real)
             assert abs(expectation(w, psi) / dims.total - direct) < 1e-10
             mixed = mix_random_states(dims, 3, r)
-            explicit = float(np.trace(mat @ mixed.to_matrix()).real)
+            explicit = float(np.trace(mat @ density_matrix(mixed)).real)
             assert abs(expectation(w, mixed) / dims.total - explicit) < 1e-10
 
     def test_ensemble_mean_is_one(self):
@@ -271,7 +271,7 @@ class TestOptimalWitness:
         ]
         for st in states:
             res = optimal_witness(st)
-            rho_tb = partial_transpose_b(st.to_matrix(), st.dims)
+            rho_tb = partial_transpose_b(density_matrix(st), st.dims)
             assert res.lambda_min == pytest.approx(np.linalg.eigvalsh(rho_tb)[0], abs=1e-12)
             vec = res.witness.q_vectors[0]
             assert np.abs(rho_tb @ vec - res.lambda_min * vec).max() < 1e-12
@@ -283,7 +283,7 @@ class TestOptimalWitness:
         for _ in range(20):
             st = mix_random_states(dims, 2, r)
             res = optimal_witness(st)
-            rho_tb = partial_transpose_b(st.to_matrix(), dims)
+            rho_tb = partial_transpose_b(density_matrix(st), dims)
             phis = sample_random_pure_batch(dims, 1000, r)
             vals = np.einsum("ki,ij,kj->k", phis.conj(), rho_tb, phis).real
             assert vals.min() >= res.lambda_min - 1e-9
@@ -321,6 +321,26 @@ class TestWitnessSpectrum:
         dims = BipartiteDims(3, 4)
         spec = self._check_against_dense(random_rank_k_witness(dims, 3, rng(33)))
         assert spec.nonzero.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (8, 8)])
+    def test_rank_one_pairs_are_the_schmidt_products(self, shape):
+        # the pairs come from the closed form, not from matching eigenvalues;
+        # nonzero keeps the bits of the sorted closed form
+        dims = BipartiteDims(*shape)
+        witness = random_haar_witness(dims, rng(37))
+        spec = witness_spectrum(witness)
+        mu = np.linalg.svd(witness.q_vectors.reshape(dims.n_a, dims.n_b), compute_uv=False)
+        off = np.outer(mu, mu)[np.triu_indices(len(mu), k=1)]
+        assert np.array_equal(spec.pairs, off) and np.array_equal(spec.unpaired, mu**2)
+        assert spec.zeros == dims.total - len(mu) ** 2
+        assert np.array_equal(spec.nonzero, np.sort(np.concatenate([off, -off, mu**2])))
+
+    def test_rank2_has_one_pair_and_a_dense_solve_none(self):
+        dims = BipartiteDims(4, 5)
+        rank2 = witness_spectrum(witness_from_vector(rank2_state(dims, 0.3)))
+        assert np.abs(rank2.pairs - [np.sqrt(0.21)]).max() < 1e-15 and len(rank2.unpaired) == 2
+        dense = witness_spectrum(random_rank_k_witness(dims, 3, rng(33)))
+        assert len(dense.pairs) == 0 and np.array_equal(dense.unpaired, dense.nonzero)
 
     # k = 16 exceeds n_a n_b = 15 at 3 x 5 and 5 x 3: there the witness has
     # full rank, W = I/15, with one fifteen-fold eigenvalue
