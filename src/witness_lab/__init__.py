@@ -9,4 +9,4 @@ rescaled statistic w, an elliptic-integral law for partial-transpose
 spectra).  Import each name from the module that defines it.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"

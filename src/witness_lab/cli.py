@@ -236,6 +236,7 @@ def cmd_decay(args: argparse.Namespace, workers: int, out: OutputTracker) -> Non
         "slope": scan.metadata.get("slope"),
         "slope_std_err": scan.metadata.get("slope_std_err"),
         "slope_fit_min_m": scan.metadata["slope_fit_min_m"],
+        "slope_fit_m": scan.metadata["slope_fit_m"],
         "witness": scan.metadata["witness_spec"],
     }
     if spec.kind != "rank2":  # the Gaussian is not the law of rank-2 draws
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decay",
         help="detection probability decay with mixture size",
         description="P(w<0) for m = 1..m_max with one fixed witness, plus the fitted "
-        "log-slope over the asymptotic points. CSV columns: N, m, "
+        "log-slope over the asymptotic points with a hit (slope_fit_m). CSV columns: N, m, "
         "detection_probability, std_err.",
     )
     p.add_argument("--dims", type=int, nargs=2, default=[32, 32], metavar=("N_A", "N_B"))

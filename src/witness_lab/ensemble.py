@@ -12,10 +12,11 @@ configuration, never on the machine.
 
 A lambda_min scan maps one task per (N, repetition) instead.  Repetition r
 at the i-th N draws max(m_list) Haar states from (seed, _STREAM_LMIN, i, r),
-and its value at each m is that of the mixture of the first m of them.  The
-rows of one N therefore share their draws (common random numbers), while
-each row is still the mean over independent repetitions, with the same law
-and standard error as rows drawn apart.
+and its value at each m is that of the mixture of the first m of them
+(``qstate.mixture_pt_densities``).  The rows of one N therefore share their
+draws (common random numbers), while each row is still the mean over
+independent repetitions, with the same law and standard error as rows
+drawn apart.
 
 A decay scan maps one run of pure-state w values, chunked as above on
 (seed, _STREAM_DECAY, chunk), and point m averages its first n_m * m in
@@ -54,10 +55,9 @@ from .qstate import (
     BipartiteDims,
     MixedState,
     _one_blas_thread,
-    gram_density,
     mix_random_states,
+    mixture_pt_densities,
     mixture_pt_eigenvalues,
-    partial_transpose_b,
     sample_random_pure_batch,
 )
 from .witness import (
@@ -430,7 +430,8 @@ def run_mixture_decay(
 ) -> ScanResult:
     """Detection probability P(w < 0) versus mixture size m = 1..m_max for
     one fixed witness, with a log-slope fit over the asymptotic points
-    m >= ``_SLOPE_FIT_MIN_M``.
+    m >= ``_SLOPE_FIT_MIN_M`` with a hit, listed in ``slope_fit_m`` (empty,
+    and no fit, when fewer than two); a two-point fit has no std error.
 
     Point m takes n_m = samples_base * min(m, 8) samples so that the
     shrinking tail keeps enough hits per point; a mixture's w is the mean
@@ -454,15 +455,17 @@ def run_mixture_decay(
         se = math.sqrt(p * (1.0 - p) / n_samp)
         rows.append(ScanRow(n=dims.n_a, m=m, value=p, std_err=se))
 
-    fit = [(r.m, r.value) for r in rows if r.m >= _SLOPE_FIT_MIN_M and r.value > 0]
-    meta: dict = {"witness_spec": str(witness_spec), "slope_fit_min_m": _SLOPE_FIT_MIN_M}
-    if len(fit) >= 2:
-        ms = np.array([f[0] for f in fit], dtype=float)
-        logp = np.log([f[1] for f in fit])
+    fit = [r.m for r in rows if r.m >= _SLOPE_FIT_MIN_M and r.value > 0]  # log p needs a hit
+    fit = fit if len(fit) >= 2 else []
+    meta: dict = {"witness_spec": str(witness_spec), "slope_fit_min_m": _SLOPE_FIT_MIN_M, "slope_fit_m": fit}
+    if fit:
+        ms = np.array(fit, dtype=float)
+        logp = np.log([rows[m - 1].value for m in fit])
         slope, intercept = np.polyfit(ms, logp, 1)
         resid = logp - (slope * ms + intercept)
-        dof = max(len(ms) - 2, 1)
-        slope_se = math.sqrt(float(np.sum(resid**2)) / dof / float(np.sum((ms - ms.mean()) ** 2)))
+        sxx = float(np.sum((ms - ms.mean()) ** 2))
+        # a line through two points has no residual to give it an error
+        slope_se = math.sqrt(float(np.sum(resid**2)) / (len(ms) - 2) / sxx) if len(ms) > 2 else None
         meta.update(slope=float(slope), intercept=float(intercept), slope_std_err=slope_se)
     return ScanResult(kind="detection_probability", rows=tuple(rows), metadata=meta)
 
@@ -516,27 +519,15 @@ def run_pt_spectrum(
 
 def _lmin_point_task(task) -> np.ndarray:
     """lambda_min of rho^T_B for each m of the sorted ``m_list``, rho the
-    mixture of the first m of one draw of max(m_list) Haar states.  The
-    real Gram of the draw starts at the first m > 1 and grows by the rows
-    each later m adds; a pure state takes the Schmidt closed form."""
+    mixture of the first m of one draw of max(m_list) Haar states.  A pure
+    state takes the Schmidt closed form; the mixtures take
+    ``qstate.mixture_pt_densities``, one growing Gram for every m > 1."""
     (seed, n_idx, n, m_list, rep) = task
     dims = BipartiteDims(n, n)
     amps = sample_random_pure_batch(dims, m_list[-1], _rng_for(seed, _STREAM_LMIN, n_idx, rep))
-    x = amps.view(np.float64)
-    out = np.empty(len(m_list))
-    done = 0
-    for i, m in enumerate(m_list):
-        if m == 1:
-            out[i] = mixture_pt_eigenvalues(amps[:1], dims).min()
-            continue
-        block = x[done:m]
-        if done:
-            gram += block.T @ block
-        else:
-            gram = block.T @ block
-        done = m
-        out[i] = np.linalg.eigvalsh(partial_transpose_b(gram_density(gram, m), dims))[0]
-    return out
+    pure = [mixture_pt_eigenvalues(amps[:1], dims).min()] if m_list[0] == 1 else []
+    mixed = [np.linalg.eigvalsh(rho)[0] for rho in mixture_pt_densities(amps, m_list[len(pure) :], dims)]
+    return np.array(pure + mixed)
 
 
 def _monotone_in_m(v: np.ndarray) -> bool:

@@ -131,11 +131,7 @@ class PureState:
 @dataclass(frozen=True, eq=False)
 class MixedState:
     """Uniform mixture of the m pure states whose amplitudes are the rows of
-    ``amplitudes``, an (m, n_a n_b) array.
-
-    Expectation values are evaluated row-wise, without materializing the
-    full matrix (which is quadratically larger).
-    """
+    ``amplitudes``, an (m, n_a n_b) array."""
 
     dims: BipartiteDims
     amplitudes: np.ndarray
@@ -184,30 +180,34 @@ def partial_transpose_b(mat: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     return r.transpose(0, 3, 2, 1).reshape(dims.total, dims.total)
 
 
-def mixture_density(amps: np.ndarray) -> np.ndarray:
-    """Density matrix amps^T amps* / m of the uniform mixture of the rows of
-    ``amps`` (an (m, d) complex array), exactly Hermitian.
+def mixture_pt_densities(amps: np.ndarray, ms, dims: BipartiteDims):
+    """For each m of the strictly ascending ``ms``, a fresh, exactly Hermitian
+    rho^T_B of the uniform mixture of the first m rows of ``amps`` (M, d).
 
-    It is formed as x^T x over the real (m, 2d) view x of the amplitudes,
-    which numpy runs as one symmetric rank-m update (BLAS syrk), half the
-    flops of the complex product; see ``gram_density``.
+    The real Gram x^T x of the rows' real (M, 2d) view x, which numpy runs
+    as a symmetric rank-k update (BLAS syrk, half the flops of the complex
+    product), grows by the rows each m adds.  As g[i,a,p,j,b,q] it holds
+    m rho_{ia,jb} = g[..0..0] + g[..1..1] + i (g[..1..0] - g[..0..1]), so
+    rho^T_B_{ia,jb} = rho_{ib,ja} is read from it without forming rho.
     """
     x = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
-    return gram_density(x.T @ x, len(amps))
-
-
-def gram_density(gram: np.ndarray, m: int) -> np.ndarray:
-    """Density matrix of the uniform mixture of m states from the real
-    (2d, 2d) Gram x^T x of their (m, 2d) real amplitude view x: with
-    s[i, p, j, q] = sum_k x[k, 2i + p] x[k, 2j + q], Re rho = s[:, 0, :, 0]
-    + s[:, 1, :, 1] and Im rho = s[:, 1, :, 0] - s[:, 0, :, 1], over m."""
-    d = len(gram) // 2
-    s = gram.reshape(d, 2, d, 2)
-    rho = np.empty((d, d), dtype=np.complex128)
-    rho.real = s[:, 0, :, 0] + s[:, 1, :, 1]
-    rho.imag = s[:, 1, :, 0] - s[:, 0, :, 1]
-    rho /= m
-    return rho
+    n_a, n_b = dims.n_a, dims.n_b
+    done = 0
+    for m in ms:
+        if not done < m <= len(x):
+            raise ValueError(f"mixture sizes must ascend from 1 to at most {len(x)}, got {m} after {done}")
+        block = x[done:m]
+        if done:
+            gram += block.T @ block
+        else:
+            gram = block.T @ block
+        done = m
+        g = gram.reshape(n_a, n_b, 2, n_a, n_b, 2)
+        out = np.empty((n_a, n_b, n_a, n_b), dtype=np.complex128)
+        out.real = (g[:, :, 0, :, :, 0] + g[:, :, 1, :, :, 1]).transpose(0, 3, 2, 1)
+        out.imag = (g[:, :, 1, :, :, 0] - g[:, :, 0, :, :, 1]).transpose(0, 3, 2, 1)
+        out /= m
+        yield out.reshape(dims.total, dims.total)
 
 
 def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims) -> np.ndarray:
@@ -225,7 +225,7 @@ def mixture_pt_eigenvalues(amps: np.ndarray, dims: BipartiteDims) -> np.ndarray:
         # one batched SVD gives every matrix the bits it gets alone
         mu = np.linalg.svd(amps.reshape(*stack, dims.n_a, dims.n_b), compute_uv=False)
         return schmidt_pt_eigenvalues(mu)
-    spectra = [np.linalg.eigvalsh(partial_transpose_b(mixture_density(a), dims)) for a in amps.reshape(-1, m, d)]
+    spectra = [np.linalg.eigvalsh(rho) for a in amps.reshape(-1, m, d) for rho in mixture_pt_densities(a, [m], dims)]
     return np.reshape(spectra, (*stack, d))
 
 
@@ -238,7 +238,9 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     fast as ``np.linalg.eigvalsh`` does on two.  Read column-major, the
     C-ordered buffer is mat^T, whose upper triangle is mat's lower one and
     whose eigenvalues are mat's, so LAPACKE makes no transposed copy.
-    Builds without the symbol take ``np.linalg.eigvalsh``.
+    Builds without the symbol take ``np.linalg.eigvalsh``.  On a 2-core Xeon
+    eigvalsh here made ``wdist --witness rankk:16`` at 32 x 32 16% slower,
+    yet takes 8.6 ms against 11 at 256^2, so mixtures stay on eigvalsh.
     """
     if _ZHEEVD_2STAGE is None:
         return np.linalg.eigvalsh(mat)

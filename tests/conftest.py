@@ -16,7 +16,14 @@ from scipy import integrate
 from witness_lab import analytic
 from witness_lab.analytic import AnalyticDensity
 from witness_lab.ensemble import WitnessSpec, derive_witness, empirical_from_samples, run_w_ensemble
-from witness_lab.qstate import BipartiteDims, MixedState, PureState, mixture_density, partial_transpose_b, sample_random_pure_batch
+from witness_lab.qstate import (
+    BipartiteDims,
+    MixedState,
+    PureState,
+    mixture_pt_densities,
+    partial_transpose_b,
+    sample_random_pure_batch,
+)
 from witness_lab.witness import Witness, pt_quadratic_form_batch, witness_from_vector
 
 SCHMIDT_RANK_RTOL = 1e-12
@@ -107,11 +114,37 @@ def schmidt(state: PureState) -> SchmidtDecomposition:
 
 def density_matrix(state: PureState | MixedState) -> np.ndarray:
     """Explicit density matrix of a state, formed anew on each call: the
-    outer product |psi><psi| of a pure state, ``qstate.mixture_density`` of
-    a mixture's rows."""
+    outer product |psi><psi| of a pure state; for a mixture, the partial
+    transpose of the rho^T_B that ``qstate.mixture_pt_densities`` builds
+    (the transpose is an involution, so rho keeps the bits of the Gram)."""
     if isinstance(state, PureState):
         return np.outer(state.amplitudes, state.amplitudes.conj())
-    return mixture_density(state.amplitudes)
+    return partial_transpose_b(next(mixture_pt_densities(state.amplitudes, [state.m], state.dims)), state.dims)
+
+
+def pt_densities_by_dense_transpose(amps: np.ndarray, ms, dims: BipartiteDims) -> list[np.ndarray]:
+    """rho^T_B of the mixture of the first m rows of ``amps`` for each m of
+    the ascending ``ms``, formed as the package formed it up to 0.19.0: the
+    real Gram x^T x grown block by block, decoded into rho by four slices,
+    then a dense partial transpose.  The bit reference of
+    ``qstate.mixture_pt_densities``."""
+    x = np.ascontiguousarray(amps).view(np.float64)
+    d = dims.total
+    out, done = [], 0
+    for m in ms:
+        block = x[done:m]
+        if done:
+            gram += block.T @ block
+        else:
+            gram = block.T @ block
+        done = m
+        s = gram.reshape(d, 2, d, 2)
+        rho = np.empty((d, d), dtype=np.complex128)
+        rho.real = s[:, 0, :, 0] + s[:, 1, :, 1]
+        rho.imag = s[:, 1, :, 0] - s[:, 0, :, 1]
+        rho /= m
+        out.append(partial_transpose_b(rho, dims))
+    return out
 
 
 def partial_trace_b(state: PureState | MixedState) -> np.ndarray:
@@ -179,7 +212,8 @@ def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
     For a pure state sum_i mu_i |a_i b_i> the answer is closed form:
     lambda_min = -mu_1 mu_2 with eigenvector (|a_1 b_2*> - |a_2 b_1*>)/sqrt(2),
     where b* is the complex conjugate of b.  Mixed states take a dense
-    eigensolve; their rho^T_B is exactly Hermitian (see ``mixture_density``).
+    eigensolve; their rho^T_B is exactly Hermitian (see
+    ``qstate.mixture_pt_densities``).
     """
     if isinstance(state, PureState):
         sd = schmidt(state)
@@ -187,7 +221,7 @@ def optimal_witness(state: "PureState | MixedState") -> OptimalWitnessResult:
         vec = (np.kron(a[0], b[1]) - np.kron(a[1], b[0])) / np.sqrt(2.0)
         lam_min = -float(sd.coefficients[0] * sd.coefficients[1])
     else:
-        vals, vecs = np.linalg.eigh(partial_transpose_b(density_matrix(state), state.dims))
+        vals, vecs = np.linalg.eigh(next(mixture_pt_densities(state.amplitudes, [state.m], state.dims)))
         vec, lam_min = vecs[:, 0], float(vals[0])
     w = witness_from_vector(PureState(state.dims, vec))
     return OptimalWitnessResult(witness=w, lambda_min=lam_min)

@@ -231,6 +231,7 @@ class TestScans:
         assert len(lines) == 5
         summary = read_json(out / "decay_summary.json")
         assert summary["slope"] < 0
+        assert summary["slope_fit_m"] == [3, 4] and summary["slope_std_err"] is None
         assert len(summary["exact_gaussian_tail"]) == 4
 
     def test_decay_rankk_gaussian_matches_wdist_overlay(self, tmp_path):

@@ -32,15 +32,14 @@ from witness_lab.ensemble import _STREAM_LMIN, _interp_crossing, _monotone_in_m,
 from witness_lab.qstate import (
     BipartiteDims,
     mix_random_states,
-    mixture_density,
+    mixture_pt_densities,
     mixture_pt_eigenvalues,
-    partial_transpose_b,
     sample_random_pure_batch,
 )
 from witness_lab.witness import pt_quadratic_form_batch, witness_spectrum
 
 from conftest import maximally_mixed, optimal_witness, partial_trace_b, rank2_overlap_distribution, rng, scan_curve
-from conftest import density_matrix, von_neumann_entropy
+from conftest import density_matrix, pt_densities_by_dense_transpose, von_neumann_entropy
 
 
 def _pure_pt_reference(amps: np.ndarray, dims: BipartiteDims) -> np.ndarray:
@@ -294,7 +293,8 @@ class TestWEnsemble:
                 if m == 1:
                     lmin = _pure_pt_reference(comps[0], dims).min()
                 else:
-                    lmin = np.linalg.eigvalsh(partial_transpose_b(mixture_density(comps), dims))[0]
+                    (rho_tb,) = mixture_pt_densities(comps, [m], dims)
+                    lmin = np.linalg.eigvalsh(rho_tb)[0]
                 want.append(dims.total * float(lmin))
         assert np.array_equal(got, np.array(want))
 
@@ -523,6 +523,17 @@ class TestLambdaMinScan:
         vals = np.array([_lmin_values(1, (0, rep), 4, 2) for rep in range(5)])
         assert scan.rows[0].value == vals.mean()
 
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_task_rows_keep_the_bits_of_the_dense_transpose(self, n):
+        # lambda_min of every m > 1 from the Gram decoded into rho and
+        # transposed, as up to 0.19.0; m = 1 from the Schmidt closed form
+        m_list, seed, n_idx, rep = (1, 2, 40, 200), 7, 1, 2
+        dims = BipartiteDims(n, n)
+        amps = sample_random_pure_batch(dims, m_list[-1], _rng_for(seed, _STREAM_LMIN, n_idx, rep))
+        mixed = [np.linalg.eigvalsh(rho)[0] for rho in pt_densities_by_dense_transpose(amps, m_list[1:], dims)]
+        want = np.array([mixture_pt_eigenvalues(amps[:1], dims).min(), *mixed])
+        assert np.array_equal(ensemble._lmin_point_task((seed, n_idx, n, m_list, rep)), want)
+
     def test_each_repetition_draws_max_m_states_once(self, monkeypatch):
         drawn = []
         real = ensemble.sample_random_pure_batch
@@ -714,22 +725,46 @@ class TestMixtureDecay:
             w = pure[: n * m].reshape(n, m).mean(axis=1)
             p = float(np.count_nonzero(w < 0)) / n
             want.append(ensemble.ScanRow(n=8, m=m, value=p, std_err=math.sqrt(p * (1.0 - p) / n)))
-        ms = np.array([r.m for r in want[2:]], dtype=float)
-        logp = np.log([r.value for r in want[2:]])
-        slope, intercept = np.polyfit(ms, logp, 1)
-        resid = logp - (slope * ms + intercept)
-        dof = max(len(ms) - 2, 1)
-        slope_se = math.sqrt(float(np.sum(resid**2)) / dof / float(np.sum((ms - ms.mean()) ** 2)))
+        # m = 3 and 4 both have hits: a two-point line, with no residual to
+        # give the slope a standard error
+        slope, intercept = np.polyfit([3.0, 4.0], np.log([r.value for r in want[2:]]), 1)
 
         scan = self._scan(1)
         assert scan.rows == tuple(want)
         assert scan.metadata == {
             "witness_spec": "random",
             "slope_fit_min_m": 3,
+            "slope_fit_m": [3, 4],
             "slope": float(slope),
             "intercept": float(intercept),
-            "slope_std_err": slope_se,
+            "slope_std_err": None,
         }
+
+    @pytest.mark.parametrize("seed, fitted", [(3, [3, 5]), (5, [3, 4, 5])])
+    def test_the_fit_names_the_points_with_a_hit(self, seed, fitted):
+        # rankk:3 at 8 x 8, base 500: P(w < 0) ~ 1e-3 at m = 3 and falls to
+        # a few hits per point, so some points past m = 3 have none
+        scan = run_mixture_decay(self.DIMS, 6, 500, seed=seed, witness_spec=WitnessSpec.parse("rankk:3"))
+        assert [r.m for r in scan.rows if r.m >= 3 and r.value > 0] == fitted
+        assert any(r.value == 0 for r in scan.rows[2:])
+        ms = np.array(fitted, dtype=float)
+        logp = np.log([scan.rows[m - 1].value for m in fitted])
+        slope, intercept = np.polyfit(ms, logp, 1)
+        meta = scan.metadata
+        assert meta["slope_fit_m"] == fitted
+        assert (meta["slope"], meta["intercept"]) == (float(slope), float(intercept))
+        if len(fitted) == 2:
+            assert meta["slope_std_err"] is None
+        else:
+            resid = logp - (slope * ms + intercept)
+            se = math.sqrt(float(np.sum(resid**2)) / (len(ms) - 2) / float(np.sum((ms - ms.mean()) ** 2)))
+            assert meta["slope_std_err"] == se > 0
+
+    def test_no_fit_without_two_points_with_a_hit(self):
+        # rankk:16 at 8 x 8 narrows w to variance ~1 / 16: no hit at any m
+        scan = run_mixture_decay(self.DIMS, 4, 500, seed=25, witness_spec=WitnessSpec.parse("rankk:16"))
+        assert [r.value for r in scan.rows] == [0.0] * 4
+        assert scan.metadata == {"witness_spec": "rankk:16", "slope_fit_min_m": 3, "slope_fit_m": []}
 
     def test_worker_count_does_not_change_the_bits(self):
         one, two = self._scan(1), self._scan(2)
@@ -782,7 +817,7 @@ class TestDenseCoding:
 
         for name in ("eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, dense)
-        monkeypatch.setattr(qstate, "mixture_density", dense)
+        monkeypatch.setattr(qstate, "mixture_pt_densities", dense)
         assert dense_coding_margin(st) == want
 
     def test_rejects_m_below_one(self):

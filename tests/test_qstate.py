@@ -7,13 +7,23 @@ from witness_lab.qstate import (
     BipartiteDims,
     PureState,
     mix_random_states,
-    mixture_density,
+    mixture_pt_densities,
     mixture_pt_eigenvalues,
     partial_transpose_b,
     sample_random_pure_batch,
 )
 
-from conftest import density_matrix, ghz_state, partial_trace_b, product_density, rng, sample_random_pure, schmidt, von_neumann_entropy
+from conftest import (
+    density_matrix,
+    ghz_state,
+    partial_trace_b,
+    product_density,
+    pt_densities_by_dense_transpose,
+    rng,
+    sample_random_pure,
+    schmidt,
+    von_neumann_entropy,
+)
 
 
 def random_density(n, r):
@@ -281,14 +291,44 @@ class TestSpectrum:
         assert np.array_equal(nested, got.reshape(2, 3, -1))
 
 
-class TestMixtureDensity:
+class TestMixturePtDensities:
     @pytest.mark.parametrize("rows", [slice(None), slice(None, None, 2)], ids=["contiguous", "row-slice"])
-    def test_matches_complex_product_and_is_hermitian(self, rows):
-        amps = sample_random_pure_batch(BipartiteDims(4, 6), 9, rng(3))[rows]
-        rho = mixture_density(amps)
-        ref = amps.T @ amps.conj() / len(amps)
-        assert np.abs(rho - ref).max() < 1e-15
-        np.testing.assert_array_equal(rho, rho.conj().T)
+    @pytest.mark.parametrize("n_a, n_b", [(4, 6), (3, 5), (5, 3), (2, 9)])
+    def test_matches_complex_product_and_is_hermitian(self, n_a, n_b, rows):
+        dims = BipartiteDims(n_a, n_b)
+        amps = sample_random_pure_batch(dims, 9, rng(3 + n_a))[rows]
+        m = len(amps)
+        (rho_tb,) = mixture_pt_densities(amps, [m], dims)
+        ref = partial_transpose_b(amps.T @ amps.conj() / m, dims)
+        assert np.abs(rho_tb - ref).max() < 1e-15
+        np.testing.assert_array_equal(rho_tb, rho_tb.conj().T)
+
+    @pytest.mark.parametrize("n_a, n_b", [(3, 5), (5, 3), (8, 8)])
+    def test_yields_keep_the_bits_of_the_dense_transpose(self, n_a, n_b):
+        # the read of the Gram adds and divides the same numbers in the same
+        # order as decoding rho and transposing it; any other order fails here
+        dims = BipartiteDims(n_a, n_b)
+        amps = sample_random_pure_batch(dims, 33, rng(40 + n_a))
+        got = list(mixture_pt_densities(amps, [2, 7, 33], dims))
+        want = pt_densities_by_dense_transpose(amps, [2, 7, 33], dims)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n_a, n_b", [(3, 5), (8, 8)])
+    def test_a_grown_yield_equals_a_one_shot_build(self, n_a, n_b):
+        # equal within round-off only: the grown Gram sums its blocks apart
+        dims = BipartiteDims(n_a, n_b)
+        amps = sample_random_pure_batch(dims, 33, rng(50 + n_a))
+        *_, grown = mixture_pt_densities(amps, [2, 7, 33], dims)
+        (one_shot,) = mixture_pt_densities(amps, [33], dims)
+        assert np.abs(grown - one_shot).max() <= 1e-15
+
+    @pytest.mark.parametrize("ms", [[3, 2], [2, 2], [0], [2, 10]])
+    def test_rejects_sizes_that_do_not_ascend_within_the_rows(self, ms):
+        dims = BipartiteDims(2, 3)
+        with pytest.raises(ValueError, match="mixture sizes must ascend from 1 to at most 9"):
+            list(mixture_pt_densities(sample_random_pure_batch(dims, 9, rng(5)), ms, dims))
 
     @pytest.mark.parametrize("n_a, n_b", [(3, 5), (5, 3), (4, 2)])
     @pytest.mark.parametrize("m", [2, 7, 40])

@@ -25,7 +25,7 @@ ALLOWED = {
     "analytic.density_eval": TRACED,
     "witness.witness_rank_k": TRACED,
     "witness.pt_quadratic_form": TRACED,
-    "ensemble.cumulant_report": "wired into wdist by item 4",
+    "ensemble.cumulant_report": "wired into wdist by item 6",
 }
 
 
@@ -88,3 +88,22 @@ def test_every_listed_name_still_needs_its_reason():
 
 def test_every_method_and_property_is_read_in_src():
     assert _unread_members() == []
+
+
+def _float_views() -> list[str]:
+    """module:line of each ``.view(np.float64)`` call in src."""
+    return [
+        f"{mod}:{node.lineno}"
+        for mod, body in _modules().items()
+        for stmt in body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "view"
+        and [ast.unparse(arg) for arg in node.args] == ["np.float64"]
+    ]
+
+
+def test_only_qstate_views_amplitudes_as_floats():
+    # the real layout of the Gram behind rho^T_B is a decision of qstate alone
+    assert [site for site in _float_views() if not site.startswith("qstate:")] == []
